@@ -368,48 +368,32 @@ let run_tlb () =
   section "A2 (ablation): static large pages vs 4K demand paging";
   let pages = [ 32; 128; 512; 2048 ] in
   Printf.printf "%12s %22s %26s\n" "touched 4K" "CNK cycles (no misses)" "FWK cycles (faults+TLB)";
+  let measure (type c) (module K : Kernel.CLUSTER with type t = c) (cluster : c) npages =
+    K.boot_all cluster;
+    let out = ref 0 in
+    let image =
+      Image.executable ~name:"touch" (fun () ->
+          let a = Bg_rt.Malloc.malloc (npages * 4096) in
+          let t0 = Coro.rdtsc () in
+          for i = 0 to npages - 1 do
+            Coro.consume 50;
+            Bg_rt.Libc.poke (a + (i * 4096)) i
+          done;
+          out := Coro.rdtsc () - t0)
+    in
+    K.run_job cluster (Job.create ~name:"t" image);
+    !out
+  in
   List.iter
     (fun npages ->
-      let measure_cnk () =
-        let cluster = Cnk.Cluster.create ~dims:(1, 1, 1) () in
-        Cnk.Cluster.boot_all cluster;
-        let out = ref 0 in
-        let image =
-          Image.executable ~name:"touch" (fun () ->
-              let a = Bg_rt.Malloc.malloc (npages * 4096) in
-              let t0 = Coro.rdtsc () in
-              for i = 0 to npages - 1 do
-                Coro.consume 50;
-                Bg_rt.Libc.poke (a + (i * 4096)) i
-              done;
-              out := Coro.rdtsc () - t0)
-        in
-        Cnk.Cluster.run_job cluster (Job.create ~name:"t" image);
-        !out
+      let cnk = measure (module Cnk.Cluster) (Cnk.Cluster.create ~dims:(1, 1, 1) ()) npages in
+      let fwk =
+        measure (module Bg_fwk.Cluster)
+          (Bg_fwk.Cluster.create ~noise_seed:1L ~daemons:Bg_fwk.Noise_model.quiet_daemon_set
+             ~dims:(1, 1, 1) ())
+          npages
       in
-      let measure_fwk () =
-        let machine = Machine.create ~dims:(1, 1, 1) () in
-        let node =
-          Bg_fwk.Node.create ~noise_seed:1L ~daemons:Bg_fwk.Noise_model.quiet_daemon_set
-            machine ~rank:0 ~stripped:true ()
-        in
-        let out = ref 0 in
-        Bg_fwk.Node.boot node ~on_ready:(fun () ->
-            ignore
-              (Bg_fwk.Node.launch node
-                 (Job.create ~name:"t"
-                    (Image.executable ~name:"t" (fun () ->
-                         let a = Bg_rt.Malloc.malloc (npages * 4096) in
-                         let t0 = Coro.rdtsc () in
-                         for i = 0 to npages - 1 do
-                           Coro.consume 50;
-                           Bg_rt.Libc.poke (a + (i * 4096)) i
-                         done;
-                         out := Coro.rdtsc () - t0)))));
-        ignore (Sim.run machine.Machine.sim);
-        !out
-      in
-      Printf.printf "%12d %22d %26d\n" npages (measure_cnk ()) (measure_fwk ()))
+      Printf.printf "%12d %22d %26d\n" npages cnk fwk)
     pages;
   Printf.printf "(CNK: static 16M-1G pages, zero translation cost at run time)\n"
 

@@ -2,16 +2,27 @@
 
    Plays the role of the control system's job launcher: pick a kernel
    (cnk or fwk), a node mode (smp/dual/vn), a machine size and a built-in
-   workload, run it, and report. Examples:
+   workload, run it, and report. Both kernels run the same program image
+   through the same harness interface; the FWK launches one process per
+   node, so it rejects --mode dual|vn, and umt (whose library lives in
+   CNK's shared I/O filesystem). Examples:
 
      dune exec bin/bgp_run.exe -- --workload fwq
-     dune exec bin/bgp_run.exe -- --kernel fwk --workload fwq
+     dune exec bin/bgp_run.exe -- --kernel fwk --workload hello --nodes 4
      dune exec bin/bgp_run.exe -- --workload umt --mode vn
      dune exec bin/bgp_run.exe -- --workload amg --threads 4 *)
 
 open Cmdliner
 
 type workload = Fwq | Umt | Amg | Hello | Halo | Cg
+
+let workload_name = function
+  | Fwq -> "fwq"
+  | Umt -> "umt"
+  | Amg -> "amg"
+  | Hello -> "hello"
+  | Halo -> "halo"
+  | Cg -> "cg"
 
 let workload_conv =
   let parse = function
@@ -23,16 +34,7 @@ let workload_conv =
     | "cg" -> Ok Cg
     | s -> Error (`Msg (Printf.sprintf "unknown workload %S (fwq|umt|amg|hello|halo|cg)" s))
   in
-  let print ppf w =
-    Format.pp_print_string ppf
-      (match w with
-      | Fwq -> "fwq"
-      | Umt -> "umt"
-      | Amg -> "amg"
-      | Hello -> "hello"
-      | Halo -> "halo"
-      | Cg -> "cg")
-  in
+  let print ppf w = Format.pp_print_string ppf (workload_name w) in
   Arg.conv (parse, print)
 
 let mode_conv =
@@ -48,122 +50,103 @@ let mode_conv =
   in
   Arg.conv (parse, print)
 
+(* The program image for [workload] on every rank of [machine], and the
+   printer for its result. *)
+let program workload ~kernel ~machine ~threads ~samples ~install_umt =
+  let nodes = Machine.nodes machine in
+  let fabric () =
+    let fabric = Bg_msg.Dcmf.make_fabric machine in
+    for r = 0 to nodes - 1 do
+      ignore (Bg_msg.Dcmf.attach fabric ~rank:r)
+    done;
+    fabric
+  in
+  match workload with
+  | Hello ->
+    ( (fun () ->
+        let u = Bg_rt.Libc.uname () in
+        Printf.printf "hello from %s %s rank %d\n" u.Sysreq.sysname u.Sysreq.release
+          (Bg_rt.Libc.rank ())),
+      ignore )
+  | Fwq ->
+    let entry, collect = Bg_apps.Fwq.program ~samples ~threads:4 () in
+    ( entry,
+      fun () ->
+        Printf.printf "FWQ on %s: max spread %.5f%%\n" kernel
+          (Bg_apps.Fwq.max_spread_percent (collect ())) )
+  | Umt ->
+    let entry, collect =
+      Bg_apps.Umt_proxy.program ~lib_path:(install_umt ()) ~timesteps:5 ~threads ()
+    in
+    ( entry,
+      fun () ->
+        let r = collect () in
+        Printf.printf "UMT: %d timesteps, checksum %d, wrote %s\n"
+          r.Bg_apps.Umt_proxy.timesteps_run r.Bg_apps.Umt_proxy.sweep_checksum
+          r.Bg_apps.Umt_proxy.output_file )
+  | Amg ->
+    let entry, collect = Bg_apps.Amg_proxy.program ~grid:32 ~sweeps:5 ~threads () in
+    ( entry,
+      fun () ->
+        let r = collect () in
+        Printf.printf "AMG: %d sweeps, residual %.0f, %d cycles\n" r.Bg_apps.Amg_proxy.sweeps
+          r.Bg_apps.Amg_proxy.residual r.Bg_apps.Amg_proxy.wall_cycles )
+  | Halo ->
+    let entry, collect =
+      Bg_apps.Halo.program ~fabric:(fabric ()) ~cells_per_rank:64 ~iterations:40
+        ~compute_cycles_per_cell:2_000 ()
+    in
+    ( entry,
+      fun () ->
+        let r = collect () in
+        Printf.printf "halo: %d iterations, checksum %d, %d cycles\n"
+          r.Bg_apps.Halo.iterations r.Bg_apps.Halo.checksum r.Bg_apps.Halo.wall_cycles )
+  | Cg ->
+    let fabric = fabric () in
+    let coll = Bg_msg.Mpi.Coll.create fabric ~participants:nodes in
+    let entry, collect =
+      Bg_apps.Cg_solver.program ~fabric ~coll ~cells_per_rank:32 ~iterations:40 ()
+    in
+    ( entry,
+      fun () ->
+        let r = collect () in
+        Printf.printf "cg: residual %.3e -> %.3e in %d iterations, %d cycles\n"
+          r.Bg_apps.Cg_solver.initial_residual r.Bg_apps.Cg_solver.final_residual
+          r.Bg_apps.Cg_solver.iterations_run r.Bg_apps.Cg_solver.wall_cycles )
+
+let run_on (type c) (module K : Kernel.CLUSTER with type t = c) (cluster : c) ~kernel
+    ~install_umt workload mode threads samples =
+  K.boot_all cluster;
+  let name = workload_name workload in
+  let entry, report =
+    program workload ~kernel ~machine:(K.machine cluster) ~threads ~samples ~install_umt
+  in
+  K.run_job cluster (Job.create ~mode ~name (Image.executable ~name entry));
+  report ();
+  let sim = K.sim cluster in
+  Printf.printf "%s finished at simulated cycle %d (%.2f ms)\n" name (Bg_engine.Sim.now sim)
+    (Bg_engine.Cycles.to_us (Bg_engine.Sim.now sim) /. 1000.0);
+  `Ok ()
+
 let run kernel workload mode nodes threads samples seed =
   let dims = (nodes, 1, 1) in
-  let report_cycles label sim =
-    Printf.printf "%s finished at simulated cycle %d (%.2f ms)\n" label
-      (Bg_engine.Sim.now sim)
-      (Bg_engine.Cycles.to_us (Bg_engine.Sim.now sim) /. 1000.0)
-  in
   match kernel with
-  | "cnk" -> (
+  | "cnk" ->
     let cluster = Cnk.Cluster.create ~seed ~dims () in
-    Cnk.Cluster.boot_all cluster;
-    match workload with
-    | Hello ->
-      let image =
-        Image.executable ~name:"hello" (fun () ->
-            let u = Bg_rt.Libc.uname () in
-            Printf.printf "hello from %s %s rank %d\n" u.Sysreq.sysname u.Sysreq.release
-              (Bg_rt.Libc.rank ()))
-      in
-      Cnk.Cluster.run_job cluster (Job.create ~mode ~name:"hello" image);
-      report_cycles "hello" (Cnk.Cluster.sim cluster);
-      `Ok ()
-    | Fwq ->
-      let entry, collect = Bg_apps.Fwq.program ~samples ~threads:4 () in
-      Cnk.Cluster.run_job cluster
-        (Job.create ~mode ~name:"fwq" (Image.executable ~name:"fwq" entry));
-      let r = collect () in
-      Printf.printf "FWQ on CNK: max spread %.5f%%\n" (Bg_apps.Fwq.max_spread_percent r);
-      report_cycles "fwq" (Cnk.Cluster.sim cluster);
-      `Ok ()
-    | Umt ->
-      let lib = Bg_apps.Umt_proxy.install (Cnk.Cluster.fs cluster) in
-      let entry, collect = Bg_apps.Umt_proxy.program ~lib_path:lib ~timesteps:5 ~threads () in
-      Cnk.Cluster.run_job cluster
-        (Job.create ~mode ~name:"umt" (Image.executable ~name:"umt" entry));
-      let r = collect () in
-      Printf.printf "UMT: %d timesteps, checksum %d, wrote %s\n"
-        r.Bg_apps.Umt_proxy.timesteps_run r.Bg_apps.Umt_proxy.sweep_checksum
-        r.Bg_apps.Umt_proxy.output_file;
-      report_cycles "umt" (Cnk.Cluster.sim cluster);
-      `Ok ()
-    | Amg ->
-      let entry, collect = Bg_apps.Amg_proxy.program ~grid:32 ~sweeps:5 ~threads () in
-      Cnk.Cluster.run_job cluster
-        (Job.create ~mode ~name:"amg" (Image.executable ~name:"amg" entry));
-      let r = collect () in
-      Printf.printf "AMG: %d sweeps, residual %.0f, %d cycles\n" r.Bg_apps.Amg_proxy.sweeps
-        r.Bg_apps.Amg_proxy.residual r.Bg_apps.Amg_proxy.wall_cycles;
-      report_cycles "amg" (Cnk.Cluster.sim cluster);
-      `Ok ()
-    | Halo ->
-      let fabric = Bg_msg.Dcmf.make_fabric (Cnk.Cluster.machine cluster) in
-      for r = 0 to nodes - 1 do
-        ignore (Bg_msg.Dcmf.attach fabric ~rank:r)
-      done;
-      let entry, collect =
-        Bg_apps.Halo.program ~fabric ~cells_per_rank:64 ~iterations:40
-          ~compute_cycles_per_cell:2_000 ()
-      in
-      Cnk.Cluster.run_job cluster
-        (Job.create ~mode ~name:"halo" (Image.executable ~name:"halo" entry));
-      let r = collect () in
-      Printf.printf "halo: %d iterations, checksum %d, %d cycles\n"
-        r.Bg_apps.Halo.iterations r.Bg_apps.Halo.checksum r.Bg_apps.Halo.wall_cycles;
-      report_cycles "halo" (Cnk.Cluster.sim cluster);
-      `Ok ()
-    | Cg ->
-      let fabric = Bg_msg.Dcmf.make_fabric (Cnk.Cluster.machine cluster) in
-      for r = 0 to nodes - 1 do
-        ignore (Bg_msg.Dcmf.attach fabric ~rank:r)
-      done;
-      let coll = Bg_msg.Mpi.Coll.create fabric ~participants:nodes in
-      let entry, collect =
-        Bg_apps.Cg_solver.program ~fabric ~coll ~cells_per_rank:32 ~iterations:40 ()
-      in
-      Cnk.Cluster.run_job cluster
-        (Job.create ~mode ~name:"cg" (Image.executable ~name:"cg" entry));
-      let r = collect () in
-      Printf.printf "cg: residual %.3e -> %.3e in %d iterations, %d cycles\n"
-        r.Bg_apps.Cg_solver.initial_residual r.Bg_apps.Cg_solver.final_residual
-        r.Bg_apps.Cg_solver.iterations_run r.Bg_apps.Cg_solver.wall_cycles;
-      report_cycles "cg" (Cnk.Cluster.sim cluster);
-      `Ok ())
+    run_on (module Cnk.Cluster) cluster ~kernel:"CNK"
+      ~install_umt:(fun () -> Bg_apps.Umt_proxy.install (Cnk.Cluster.fs cluster))
+      workload mode threads samples
   | "fwk" -> (
-    let machine = Machine.create ~seed ~dims:(1, 1, 1) () in
-    let node = Bg_fwk.Node.create machine ~rank:0 ~stripped:true () in
-    let finish entry after =
-      Bg_fwk.Node.boot node ~on_ready:(fun () ->
-          match Bg_fwk.Node.launch node (Job.create ~mode ~name:"job" (Image.executable ~name:"job" entry)) with
-          | Ok () -> ()
-          | Error e -> failwith e);
-      ignore (Bg_engine.Sim.run machine.Machine.sim);
-      after ();
-      report_cycles "job" machine.Machine.sim;
-      `Ok ()
-    in
-    match workload with
-    | Hello ->
-      finish
-        (fun () ->
-          let u = Bg_rt.Libc.uname () in
-          Printf.printf "hello from %s %s\n" u.Sysreq.sysname u.Sysreq.release)
-        (fun () -> ())
-    | Fwq ->
-      let entry, collect = Bg_apps.Fwq.program ~samples ~threads:4 () in
-      finish entry (fun () ->
-          Printf.printf "FWQ on FWK: max spread %.3f%%\n"
-            (Bg_apps.Fwq.max_spread_percent (collect ())))
-    | Amg ->
-      let entry, collect = Bg_apps.Amg_proxy.program ~grid:32 ~sweeps:5 ~threads () in
-      finish entry (fun () ->
-          let r = collect () in
-          Printf.printf "AMG: residual %.0f, %d cycles\n" r.Bg_apps.Amg_proxy.residual
-            r.Bg_apps.Amg_proxy.wall_cycles)
-    | Umt | Halo | Cg ->
-      `Error (false, "this workload needs the CNK messaging/dynlink setup; use --kernel cnk"))
+    match (workload, mode) with
+    | Umt, _ ->
+      `Error
+        (false, "umt installs its library into CNK's shared I/O filesystem; use --kernel cnk")
+    | _, (Job.Dual | Job.Vn) ->
+      `Error (false, "the FWK launches one process per node; --mode dual|vn needs --kernel cnk")
+    | _, Job.Smp ->
+      run_on (module Bg_fwk.Cluster) (Bg_fwk.Cluster.create ~seed ~dims ()) ~kernel:"FWK"
+        ~install_umt:(fun () -> assert false (* umt rejected above *))
+        workload mode threads samples)
   | k -> `Error (false, Printf.sprintf "unknown kernel %S (cnk|fwk)" k)
 
 let cmd =

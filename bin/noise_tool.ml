@@ -12,14 +12,14 @@ module Accounting = Bg_obs.Accounting
 module Obs = Bg_obs.Obs
 module Export = Bg_obs.Export
 
+let fwq_report kernel samples =
+  match kernel with
+  | "cnk" -> Noise.Fwq_harness.run_on_cnk ~samples ()
+  | "fwk" -> Noise.Fwq_harness.run_on_fwk ~samples ()
+  | _ -> failwith "kernel must be cnk or fwk"
+
 let fwq kernel samples =
-  let report =
-    match kernel with
-    | "cnk" -> Noise.Fwq_harness.run_on_cnk ~samples ()
-    | "fwk" -> Noise.Fwq_harness.run_on_fwk ~samples ()
-    | _ -> failwith "kernel must be cnk or fwk"
-  in
-  Format.printf "%a" Noise.Fwq_harness.pp report;
+  Format.printf "%a" Noise.Fwq_harness.pp (fwq_report kernel samples);
   0
 
 let inject period duration samples =
@@ -39,12 +39,7 @@ let inject period duration samples =
   0
 
 let characterize kernel samples =
-  let report =
-    match kernel with
-    | "cnk" -> Noise.Fwq_harness.run_on_cnk ~samples ()
-    | "fwk" -> Noise.Fwq_harness.run_on_fwk ~samples ()
-    | _ -> failwith "kernel must be cnk or fwk"
-  in
+  let report = fwq_report kernel samples in
   List.iter
     (fun t ->
       let s = Noise.Analysis.characterize t.Noise.Fwq_harness.samples in
@@ -60,36 +55,14 @@ let characterize kernel samples =
 (* One FWQ run with accounting, observability and the UPC unit all live.
    Returns the machine the run happened on; the caller reads ledgers,
    counters and spans off it. *)
-let attributed_cnk_run samples =
-  let cluster = Cnk.Cluster.create ~dims:(1, 1, 1) ~seed:1L () in
-  let machine = Cnk.Cluster.machine cluster in
+let attributed_run (type c) (module K : Kernel.CLUSTER with type t = c) (cluster : c) samples =
+  let machine = K.machine cluster in
   Obs.set_enabled machine.Machine.obs true;
   Accounting.set_enabled machine.Machine.acct true;
   Bg_hw.Upc.start (Bg_hw.Chip.upc (Machine.chip machine 0));
-  Cnk.Cluster.boot_all cluster;
+  K.boot_all cluster;
   let entry, collect = Bg_apps.Fwq.program ~samples ~threads:4 () in
-  Cnk.Cluster.run_job cluster (Job.create ~name:"fwq" (Image.executable ~name:"fwq" entry));
-  ignore (collect ());
-  machine
-
-let attributed_fwk_run samples =
-  let machine = Machine.create ~dims:(1, 1, 1) () in
-  Obs.set_enabled machine.Machine.obs true;
-  Accounting.set_enabled machine.Machine.acct true;
-  Bg_hw.Upc.start (Bg_hw.Chip.upc (Machine.chip machine 0));
-  (* fixed noise phase: attribution runs must be reproducible *)
-  let node = Bg_fwk.Node.create ~noise_seed:7L machine ~rank:0 ~stripped:true () in
-  let entry, collect = Bg_apps.Fwq.program ~samples ~threads:4 () in
-  let finished = ref false in
-  Bg_fwk.Node.boot node ~on_ready:(fun () ->
-      Bg_fwk.Node.on_job_complete node (fun () -> finished := true);
-      match
-        Bg_fwk.Node.launch node (Job.create ~name:"fwq" (Image.executable ~name:"fwq" entry))
-      with
-      | Ok () -> ()
-      | Error e -> failwith e);
-  ignore (Bg_engine.Sim.run machine.Machine.sim);
-  if not !finished then failwith "attribute: fwk job did not finish";
+  K.run_job cluster (Job.create ~name:"fwq" (Image.executable ~name:"fwq" entry));
   ignore (collect ());
   machine
 
@@ -138,9 +111,16 @@ let print_decomposition label (machine : Machine.t) =
 
 let attribute samples folded_prefix =
   Printf.printf "noise attribution: FWQ, %d samples per thread\n" samples;
-  let cnk = attributed_cnk_run samples in
+  let cnk =
+    attributed_run (module Cnk.Cluster) (Cnk.Cluster.create ~dims:(1, 1, 1) ~seed:1L ()) samples
+  in
   print_decomposition "CNK" cnk;
-  let fwk = attributed_fwk_run samples in
+  (* fixed noise phase: attribution runs must be reproducible *)
+  let fwk =
+    attributed_run (module Bg_fwk.Cluster)
+      (Bg_fwk.Cluster.create ~noise_seed:7L ~dims:(1, 1, 1) ())
+      samples
+  in
   print_decomposition "Linux (FWK)" fwk;
   let cnk_path = folded_prefix ^ "_cnk.folded" in
   let fwk_path = folded_prefix ^ "_fwk.folded" in

@@ -49,22 +49,13 @@ let run_cnk ~app ~samples ~seed ~noise =
   obs
 
 let run_fwk ~app ~samples ~seed ~noise =
-  let machine = Machine.create ~dims:(1, 1, 1) ~seed () in
-  let obs = Machine.obs machine in
-  Obs.set_enabled obs true;
   let noise_seed = if noise then Some (Int64.add seed 7L) else None in
-  let node = Bg_fwk.Node.create ?noise_seed machine ~rank:0 ~stripped:true () in
+  let cluster = Bg_fwk.Cluster.create ~seed ?noise_seed ~dims:(1, 1, 1) () in
+  let obs = Machine.obs (Bg_fwk.Cluster.machine cluster) in
+  Obs.set_enabled obs true;
+  Bg_fwk.Cluster.boot_all cluster;
   let entry = app_program app ~samples in
-  let finished = ref false in
-  Bg_fwk.Node.boot node ~on_ready:(fun () ->
-      Bg_fwk.Node.on_job_complete node (fun () -> finished := true);
-      match
-        Bg_fwk.Node.launch node (Job.create ~name:app (Image.executable ~name:app entry))
-      with
-      | Ok () -> ()
-      | Error e -> failwith e);
-  ignore (Bg_engine.Sim.run machine.Machine.sim);
-  if not !finished then failwith "obs_tool: fwk job did not finish";
+  Bg_fwk.Cluster.run_job cluster (Job.create ~name:app (Image.executable ~name:app entry));
   obs
 
 let categories obs =

@@ -88,11 +88,12 @@ let analyze ~label machine =
     Printf.printf "causal digest=%s\n" (Bg_engine.Fnv.to_hex (Causal.digest g));
     attr
 
-let run_cnk_allreduce ~dims ~nodes ~iterations ~work ~seed =
-  let cluster = Cnk.Cluster.create ~dims ~seed () in
-  let machine = Cnk.Cluster.machine cluster in
+let run_allreduce (type c) (module K : Kernel.CLUSTER with type t = c) (cluster : c)
+    ~iterations ~work =
+  let machine = K.machine cluster in
+  let nodes = Machine.nodes machine in
   enable_all machine;
-  Cnk.Cluster.boot_all cluster;
+  K.boot_all cluster;
   let fabric = Bg_msg.Dcmf.make_fabric machine in
   for r = 0 to nodes - 1 do
     ignore (Bg_msg.Dcmf.attach fabric ~rank:r)
@@ -101,51 +102,21 @@ let run_cnk_allreduce ~dims ~nodes ~iterations ~work ~seed =
   let entry, _ =
     Bg_apps.Allreduce_bench.program ~fabric ~coll ~iterations ~per_iteration_work:work ()
   in
-  Cnk.Cluster.run_job cluster
-    (Job.create ~name:"allreduce" (Image.executable ~name:"allreduce" entry));
-  machine
-
-let run_fwk_allreduce ~dims ~nodes ~iterations ~work ~seed =
-  let machine = Machine.create ~dims ~seed () in
-  enable_all machine;
-  let fabric = Bg_msg.Dcmf.make_fabric machine in
-  for r = 0 to nodes - 1 do
-    ignore (Bg_msg.Dcmf.attach fabric ~rank:r)
-  done;
-  let coll = Bg_msg.Mpi.Coll.create fabric ~participants:nodes in
-  let entry, _ =
-    Bg_apps.Allreduce_bench.program ~fabric ~coll ~iterations ~per_iteration_work:work ()
-  in
-  let finished = Array.make nodes false in
-  let fwk_nodes =
-    Array.init nodes (fun rank -> Bg_fwk.Node.create machine ~rank ~stripped:true ())
-  in
-  Array.iteri
-    (fun rank node ->
-      Bg_fwk.Node.boot node ~on_ready:(fun () ->
-          Bg_fwk.Node.on_job_complete node (fun () -> finished.(rank) <- true);
-          match
-            Bg_fwk.Node.launch node
-              (Job.create ~name:"allreduce" (Image.executable ~name:"allreduce" entry))
-          with
-          | Ok () -> ()
-          | Error e -> failwith e))
-    fwk_nodes;
-  ignore (Bg_engine.Sim.run machine.Machine.sim);
-  Array.iteri
-    (fun rank _ ->
-      if not finished.(rank) then
-        failwith (Printf.sprintf "trace_tool: FWK rank %d did not finish" rank))
-    fwk_nodes;
+  K.run_job cluster (Job.create ~name:"allreduce" (Image.executable ~name:"allreduce" entry));
   machine
 
 let critical_path nodes iterations work seed chrome =
   let dims = dims_of nodes in
   Printf.printf "allreduce critical path: %d nodes, %d iterations x %d cycles, seed %Ld\n"
     nodes iterations work seed;
-  let cnk = run_cnk_allreduce ~dims ~nodes ~iterations ~work ~seed in
+  let cnk =
+    run_allreduce (module Cnk.Cluster) (Cnk.Cluster.create ~dims ~seed ()) ~iterations ~work
+  in
   let a_cnk = analyze ~label:"CNK" cnk in
-  let fwk = run_fwk_allreduce ~dims ~nodes ~iterations ~work ~seed in
+  let fwk =
+    run_allreduce (module Bg_fwk.Cluster) (Bg_fwk.Cluster.create ~dims ~seed ()) ~iterations
+      ~work
+  in
   let a_fwk = analyze ~label:"Linux (FWK)" fwk in
   (match chrome with
   | None -> ()

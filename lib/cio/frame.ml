@@ -16,25 +16,6 @@ let error_message = function
   | Malformed m -> m
   | Corrupt -> "CRC mismatch"
 
-(* --- CRC-32 (IEEE 802.3, reflected) --------------------------------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 data ~pos ~len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xffffffff in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Bytes.get_uint8 data i) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xffffffff
-
 (* --- wire layout ------------------------------------------------------
 
    0        magic (0xc9)
@@ -83,7 +64,7 @@ let encode f =
   (* checksum the whole frame with the crc field zeroed (Bytes.create
      gives uninitialized memory — zeroing is not optional) *)
   Bytes.set_int32_le b 2 0l;
-  let crc = crc32 b ~pos:0 ~len:(Bytes.length b) in
+  let crc = Bg_engine.Crc32.compute b ~pos:0 ~len:(Bytes.length b) in
   Bytes.set_int32_le b 2 (Int32.of_int crc);
   b
 
@@ -94,7 +75,7 @@ let decode data =
     let stored = Int32.to_int (Bytes.get_int32_le data 2) land 0xffffffff in
     let scratch = Bytes.copy data in
     Bytes.set_int32_le scratch 2 0l;
-    let computed = crc32 scratch ~pos:0 ~len:n in
+    let computed = Bg_engine.Crc32.compute scratch ~pos:0 ~len:n in
     if stored <> computed then Error Corrupt
     else if Bytes.get_uint8 data 0 <> magic then Error (Malformed "bad magic")
     else

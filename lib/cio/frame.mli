@@ -35,6 +35,3 @@ val overhead : int
 
 val encode : t -> bytes
 val decode : bytes -> (t, error) result
-
-val crc32 : bytes -> pos:int -> len:int -> int
-(** CRC-32 (IEEE 802.3, reflected); exposed for tests. *)

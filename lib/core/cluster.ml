@@ -1,5 +1,7 @@
 open Bg_engine
 
+type node = Node.t
+
 type t = {
   machine : Machine.t;
   nodes : Node.t array;
@@ -41,42 +43,9 @@ let pset_ranks t ~io_node =
   let hi = min n (lo + t.nodes_per_io_node) in
   List.init (hi - lo) (fun i -> lo + i)
 
-let boot_all t =
-  let remaining = ref (Array.length t.nodes) in
-  Array.iter (fun n -> Node.boot n ~on_ready:(fun () -> decr remaining)) t.nodes;
-  let rec pump () =
-    if !remaining > 0 then
-      if Sim.step (sim t) then pump ()
-      else failwith "Cluster.boot_all: simulation drained before boot finished"
-  in
-  pump ()
+module D = Kernel.Drive (Node)
 
-let launch_all t ?ranks job =
-  let ranks =
-    match ranks with Some r -> r | None -> List.init (Array.length t.nodes) Fun.id
-  in
-  List.iter
-    (fun rank ->
-      match Node.launch t.nodes.(rank) job with
-      | Ok () -> ()
-      | Error e -> failwith (Printf.sprintf "launch on rank %d failed: %s" rank e))
-    ranks
-
+let boot_all t = D.boot_all (sim t) t.nodes
+let launch_all t ?ranks job = D.launch_all t.nodes ?ranks job
+let run_job t ?ranks job = D.run_job (sim t) t.nodes ?ranks job
 let run_until_quiet t = ignore (Sim.run (sim t))
-
-let run_job t ?ranks job =
-  let ranks =
-    match ranks with Some r -> r | None -> List.init (Array.length t.nodes) Fun.id
-  in
-  let remaining = ref (List.length ranks) in
-  List.iter (fun rank -> Node.on_job_complete t.nodes.(rank) (fun () -> decr remaining)) ranks;
-  launch_all t ~ranks job;
-  let rec pump () =
-    if !remaining > 0 then
-      if Sim.step (sim t) then pump ()
-      else
-        failwith
-          (Printf.sprintf "Cluster.run_job: sim drained with %d node(s) unfinished"
-             !remaining)
-  in
-  pump ()

@@ -122,28 +122,16 @@ let live_threads t =
 let process_map t ~pid =
   Option.map (fun p -> p.map) (Hashtbl.find_opt t.procs pid)
 
-let emit t label value =
-  Sim.emit (sim t) ~label ~value:(Int64.of_int ((t.rank * 1_000_000) + value))
-
+let emit t label value = Kernel.emit t.machine ~rank:t.rank label value
 let obs t = t.machine.Machine.obs
 let acct t = t.machine.Machine.acct
 let causal t = t.machine.Machine.causal
 
-(* Mint a causal node on this rank, program-order chained unless said
-   otherwise. Returns [Causal.none] (and records nothing) when causal
-   collection is off — carriers then ship context 0. *)
 let causal_mint ?chain t ~cat ~name ~core =
-  let c = causal t in
-  if Causal.enabled c then
-    Causal.mint c ?chain ~cat ~name ~rank:t.rank ~core ~now:(Sim.now (sim t)) ()
-  else Causal.none
+  Kernel.causal_mint ?chain t.machine ~rank:t.rank ~cat ~name ~core
 
-let acct_switch t ~core state =
-  Accounting.switch (acct t) ~rank:t.rank ~core ~now:(Sim.now t.machine.Machine.sim) state
-
-let ras t severity message =
-  Obs.incr (obs t) ~rank:t.rank ~subsystem:"kernel" ~name:"ras_emitted" ();
-  Machine.ras_emit t.machine ~rank:t.rank ~severity ~message
+let acct_switch t ~core state = Kernel.acct_switch t.machine ~rank:t.rank ~core state
+let ras t severity message = Kernel.ras t.machine ~rank:t.rank severity message
 
 (* --- reliable CIO transport (CNK side) ------------------------------- *)
 
@@ -659,57 +647,11 @@ let rec step_thread t (th : thread) (s : Coro.step) =
           (Format.asprintf "[%d] tid %d: %a@." (Sim.now (sim t)) th.tid Sysreq.pp_request req)
       | None -> ());
       emit t "cnk.syscall" ((th.tid * 1000) + (Hashtbl.hash (Sysreq.request_name req) mod 1000));
-      let k = instrument_syscall t th req k in
-      let k = account_syscall t th req k in
+      let k = Kernel.instrument_syscall t.machine ~rank:t.rank ~core:th.core_id req k in
+      let k = Kernel.account_syscall t.machine ~rank:t.rank ~core:th.core_id req k in
       ignore
         (Sim.schedule_in (sim t) syscall_overhead (fun () ->
              if th.state <> Zombie then handle_syscall t th req k))
-
-(* Wrap a syscall continuation so the dispatch-to-reply interval lands in
-   the observability layer: a "syscall" span plus a per-kind latency
-   timer. Purely passive — no events, no RNG — so the architectural trace
-   digest is unchanged whether collection is on or off. Exit syscalls
-   never return, so they get no span. *)
-and instrument_syscall t (th : thread) req k =
-  let o = obs t in
-  let c = causal t in
-  if not (Obs.enabled o || Causal.enabled c) then k
-  else
-    match req with
-    | Sysreq.Exit_thread _ | Sysreq.Exit_group _ -> k
-    | _ ->
-      let name = Sysreq.request_name req in
-      let start = Sim.now (sim t) in
-      let h =
-        if Obs.enabled o then
-          Some (Obs.span_begin o ~cat:"syscall" ~name ~rank:t.rank ~core:th.core_id ~now:start)
-        else None
-      in
-      (* Causal: entry and exit are program-order chained on this core's
-         lane, so whatever the syscall caused in between (a function
-         ship, a DMA injection) hangs between two anchors. *)
-      ignore (causal_mint t ~cat:"syscall" ~name:(name ^ ".entry") ~core:th.core_id);
-      fun reply ->
-        let now = Sim.now (sim t) in
-        (match h with
-        | Some h ->
-          Obs.span_end o h ~now;
-          Obs.observe_cycles o ~rank:t.rank ~subsystem:"syscall" ~name (now - start);
-          Obs.incr o ~rank:t.rank ~core:th.core_id ~subsystem:"syscall" ~name ()
-        | None -> ());
-        ignore (causal_mint t ~cat:"syscall" ~name:(name ^ ".exit") ~core:th.core_id);
-        k reply
-
-(* Charge trap-to-reply to [Syscall] in the cycle ledger. Exit syscalls
-   never reply; their cycles end with the thread. *)
-and account_syscall t (th : thread) req k =
-  match req with
-  | Sysreq.Exit_thread _ | Sysreq.Exit_group _ -> k
-  | _ ->
-    acct_switch t ~core:th.core_id Accounting.Syscall;
-    fun reply ->
-      acct_switch t ~core:th.core_id Accounting.App;
-      k reply
 
 and fault_thread t (th : thread) reason =
   t.faults <- (th.tid, reason) :: t.faults;
@@ -838,30 +780,7 @@ and handle_syscall t (th : thread) (req : Sysreq.request) k =
         release_core t th
       end)
   | Sysreq.Futex_wake { addr; count } -> ret (Sysreq.R_int (wake_futex t p addr count))
-  | Sysreq.Query_perf op ->
-    let upc = Chip.upc t.chip in
-    (match op with
-    | Sysreq.Perf_start ->
-      Upc.start upc;
-      ret Sysreq.R_unit
-    | Sysreq.Perf_stop ->
-      Upc.stop upc;
-      ret Sysreq.R_unit
-    | Sysreq.Perf_freeze ->
-      Upc.freeze upc;
-      ret Sysreq.R_unit
-    | Sysreq.Perf_read ->
-      let readings =
-        match Upc.frozen_snapshot upc with
-        | Some rs -> rs
-        | None -> Upc.snapshot upc
-      in
-      ret
-        (Sysreq.R_perf
-           (List.map
-              (fun (r : Upc.reading) ->
-                { Sysreq.pr_event = r.Upc.event; pr_core = r.Upc.core; pr_count = r.Upc.count })
-              readings)))
+  | Sysreq.Query_perf op -> ret (Kernel.query_perf t.chip op)
   | Sysreq.Dma_inject d -> (
     (* CNK maps the DMA unit into user space, so DCMF never issues
        these; the handlers exist for ABI completeness (the trap is the

@@ -2,7 +2,6 @@ open Bg_engine
 open Bg_hw
 module Obs = Bg_obs.Obs
 module Accounting = Bg_obs.Accounting
-module Causal = Bg_obs.Causal
 
 let boot_cycles_full = 18_000_000
 let boot_cycles_stripped = 2_600_000
@@ -154,28 +153,12 @@ let create ?noise_seed ?(daemons = Noise_model.suse_daemon_set) ?tick_interval
     reclaims = 0;
   }
 
-let emit t label value =
-  Sim.emit (sim t) ~label ~value:(Int64.of_int ((t.rank * 1_000_000) + value))
-
+let emit t label value = Kernel.emit t.machine ~rank:t.rank label value
 let obs t = t.machine.Machine.obs
-
-(* FWK's RAS reporting mirrors CNK's wording so the service node's
-   database reads uniformly across kernels; the counter gives the
-   health service a per-kernel emission series. *)
-let ras t severity message =
-  Obs.incr (obs t) ~rank:t.rank ~subsystem:"kernel" ~name:"ras_emitted" ();
-  Machine.ras_emit t.machine ~rank:t.rank ~severity ~message
+let ras t severity message = Kernel.ras t.machine ~rank:t.rank severity message
 let acct t = t.machine.Machine.acct
-let causal t = t.machine.Machine.causal
 
-let causal_mint ?chain t ~cat ~name ~core =
-  let c = causal t in
-  if Causal.enabled c then
-    Causal.mint c ?chain ~cat ~name ~rank:t.rank ~core ~now:(Sim.now (sim t)) ()
-  else Causal.none
-
-let acct_switch t ~core state =
-  Accounting.switch (acct t) ~rank:t.rank ~core ~now:(Sim.now t.machine.Machine.sim) state
+let acct_switch t ~core state = Kernel.acct_switch t.machine ~rank:t.rank ~core state
 
 (* --- demand paging ----------------------------------------------------- *)
 
@@ -454,52 +437,11 @@ let rec step_thread t (th : thread) (s : Coro.step) =
         step_thread t th (k v)
       with Fault reason -> on_fault t th reason (fun () -> step_thread t th (k 0)))
     | Coro.Syscall (req, k) ->
-      let k = instrument_syscall t th req k in
-      let k = account_syscall t th req k in
+      let k = Kernel.instrument_syscall t.machine ~rank:t.rank ~core:th.core_id req k in
+      let k = Kernel.account_syscall t.machine ~rank:t.rank ~core:th.core_id req k in
       ignore
         (Sim.schedule_in (sim t) syscall_overhead (fun () ->
              if th.state <> Zombie then handle_syscall t th req k))
-
-(* Same passive wrapper as the CNK kernel: record the dispatch-to-reply
-   interval per Sysreq kind. Comparing the two kernels' "syscall" timers
-   side by side is the paper's Table II in live form. *)
-and instrument_syscall t (th : thread) req k =
-  let o = obs t in
-  let c = causal t in
-  if not (Obs.enabled o || Causal.enabled c) then k
-  else
-    match req with
-    | Sysreq.Exit_thread _ | Sysreq.Exit_group _ -> k
-    | _ ->
-      let name = Sysreq.request_name req in
-      let start = Sim.now (sim t) in
-      let h =
-        if Obs.enabled o then
-          Some (Obs.span_begin o ~cat:"syscall" ~name ~rank:t.rank ~core:th.core_id ~now:start)
-        else None
-      in
-      ignore (causal_mint t ~cat:"syscall" ~name:(name ^ ".entry") ~core:th.core_id);
-      fun reply ->
-        let now = Sim.now (sim t) in
-        (match h with
-        | Some h ->
-          Obs.span_end o h ~now;
-          Obs.observe_cycles o ~rank:t.rank ~subsystem:"syscall" ~name (now - start);
-          Obs.incr o ~rank:t.rank ~core:th.core_id ~subsystem:"syscall" ~name ()
-        | None -> ());
-        ignore (causal_mint t ~cat:"syscall" ~name:(name ^ ".exit") ~core:th.core_id);
-        k reply
-
-(* Charge trap-to-reply to [Syscall] in the cycle ledger; same contract
-   as the CNK kernel. *)
-and account_syscall t (th : thread) req k =
-  match req with
-  | Sysreq.Exit_thread _ | Sysreq.Exit_group _ -> k
-  | _ ->
-    acct_switch t ~core:th.core_id Accounting.Syscall;
-    fun reply ->
-      acct_switch t ~core:th.core_id Accounting.App;
-      k reply
 
 and requeue t (th : thread) =
   let core = t.cores.(th.core_id) in
@@ -711,29 +653,7 @@ and handle_syscall t (th : thread) req k =
   | Sysreq.Futex_wake { addr; count } -> ret (Sysreq.R_int (wake_futex t p addr count))
   | Sysreq.Query_perf op ->
     (* Linux exposes the same UPC silicon through its perf layer. *)
-    let upc = Chip.upc t.chip in
-    (match op with
-    | Sysreq.Perf_start ->
-      Upc.start upc;
-      ret Sysreq.R_unit
-    | Sysreq.Perf_stop ->
-      Upc.stop upc;
-      ret Sysreq.R_unit
-    | Sysreq.Perf_freeze ->
-      Upc.freeze upc;
-      ret Sysreq.R_unit
-    | Sysreq.Perf_read ->
-      let readings =
-        match Upc.frozen_snapshot upc with
-        | Some rs -> rs
-        | None -> Upc.snapshot upc
-      in
-      ret
-        (Sysreq.R_perf
-           (List.map
-              (fun (r : Upc.reading) ->
-                { Sysreq.pr_event = r.Upc.event; pr_core = r.Upc.core; pr_count = r.Upc.count })
-              readings)))
+    ret (Kernel.query_perf t.chip op)
   | Sysreq.Dma_inject d ->
     let core = t.cores.(th.core_id) in
     (* pin every page the descriptor references — d.bytes, not just the

@@ -167,11 +167,15 @@ let run_cnk ?(sizes = default_sizes) ?(reps = default_reps) () =
     (Cnk.Cluster.nodes cluster);
   collect Cnk_user sizes reps out (Dcmf.injected_descriptors c0)
 
-let quiet_daemons ~core:_ = []
-
 let run_fwk ?(sizes = default_sizes) ?(reps = default_reps) ~tick () =
-  let machine = Machine.create ~dims:(2, 1, 1) () in
-  let fabric = Dcmf.make_fabric ~path:Dcmf.Dma_kernel machine in
+  (* daemons off in both FWK cells so the quiet/tick contrast isolates
+     the tick scheduler; seeds are fixed for reproducibility *)
+  let tick_interval = if tick then None else Some (1 lsl 50) in
+  let cluster =
+    Bg_fwk.Cluster.create ~noise_seed:7_000L ~daemons:Bg_fwk.Noise_model.quiet_daemon_set
+      ?tick_interval ~dims:(2, 1, 1) ()
+  in
+  let fabric = Dcmf.make_fabric ~path:Dcmf.Dma_kernel (Bg_fwk.Cluster.machine cluster) in
   let c0 = Dcmf.attach fabric ~rank:0 in
   ignore (Dcmf.attach fabric ~rank:1);
   let out = Hashtbl.create 32 in
@@ -180,38 +184,25 @@ let run_fwk ?(sizes = default_sizes) ?(reps = default_reps) ~tick () =
     let prev = Option.value ~default:0 (Hashtbl.find_opt out (layer, bytes)) in
     Hashtbl.replace out (layer, bytes) (prev + cycles)
   in
-  (* daemons off in both FWK cells so the quiet/tick contrast isolates
-     the tick scheduler; seeds are fixed for reproducibility *)
-  let tick_interval = if tick then None else Some (1 lsl 50) in
-  let finished = Array.make 2 false in
-  let nodes =
-    Array.init 2 (fun rank ->
-        Bg_fwk.Node.create
-          ~noise_seed:(Int64.of_int (7_000 + rank))
-          ~daemons:quiet_daemons ?tick_interval machine ~rank ~stripped:true ())
-  in
+  Bg_fwk.Cluster.boot_all cluster;
+  (* each rank's image carries its rank: asking the kernel would add a
+     syscall to the timed program *)
+  Array.iteri
+    (fun rank _ ->
+      Bg_fwk.Cluster.launch_all cluster ~ranks:[ rank ]
+        (Job.create ~name:"msgbench"
+           (Image.executable ~name:"msgbench" (fun () ->
+                bench_program ~sizes ~reps ~send_t0 ~record rank (Dcmf.attach fabric ~rank)))))
+    (Bg_fwk.Cluster.nodes cluster);
+  Bg_fwk.Cluster.run_until_quiet cluster;
   Array.iteri
     (fun rank node ->
-      Bg_fwk.Node.boot node ~on_ready:(fun () ->
-          Bg_fwk.Node.on_job_complete node (fun () -> finished.(rank) <- true);
-          let image =
-            Image.executable ~name:"msgbench" (fun () ->
-                bench_program ~sizes ~reps ~send_t0 ~record rank
-                  (Dcmf.attach fabric ~rank))
-          in
-          match Bg_fwk.Node.launch node (Job.create ~name:"msgbench" image) with
-          | Ok () -> ()
-          | Error e -> failwith e))
-    nodes;
-  ignore (Sim.run machine.Machine.sim);
-  Array.iteri
-    (fun rank node ->
-      if not finished.(rank) then
+      if Bg_fwk.Node.job_active node then
         failwith (Printf.sprintf "Msgbench: FWK rank %d did not finish" rank);
       match Bg_fwk.Node.faults node with
       | [] -> ()
       | (_, m) :: _ -> failwith ("Msgbench: FWK fault: " ^ m))
-    nodes;
+    (Bg_fwk.Cluster.nodes cluster);
   collect (if tick then Fwk_tick else Fwk_quiet) sizes reps out
     (Dcmf.injected_descriptors c0)
 

@@ -28,27 +28,20 @@ let report_of kernel (r : Bg_apps.Fwq.result) =
   in
   { kernel; threads }
 
-let run_on_cnk ?(samples = 12_000) ?(seed = 1L) () =
-  let cluster = Cnk.Cluster.create ~dims:(1, 1, 1) ~seed () in
-  Cnk.Cluster.boot_all cluster;
+(* One harness for both kernels: boot, run FWQ on every node, report. *)
+let run (type c) (module K : Kernel.CLUSTER with type t = c) (cluster : c) ~kernel ~samples =
+  K.boot_all cluster;
   let entry, collect = Bg_apps.Fwq.program ~samples ~threads:4 () in
-  let image = Image.executable ~name:"fwq" entry in
-  Cnk.Cluster.run_job cluster (Job.create ~name:"fwq" image);
-  report_of "CNK" (collect ())
+  K.run_job cluster (Job.create ~name:"fwq" (Image.executable ~name:"fwq" entry));
+  report_of kernel (collect ())
+
+let run_on_cnk ?(samples = 12_000) ?(seed = 1L) () =
+  run (module Cnk.Cluster) (Cnk.Cluster.create ~dims:(1, 1, 1) ~seed ()) ~kernel:"CNK" ~samples
 
 let run_on_fwk ?(samples = 12_000) ?noise_seed ?daemons () =
-  let machine = Machine.create ~dims:(1, 1, 1) () in
-  let node = Bg_fwk.Node.create ?noise_seed ?daemons machine ~rank:0 ~stripped:true () in
-  let entry, collect = Bg_apps.Fwq.program ~samples ~threads:4 () in
-  let finished = ref false in
-  Bg_fwk.Node.boot node ~on_ready:(fun () ->
-      Bg_fwk.Node.on_job_complete node (fun () -> finished := true);
-      match Bg_fwk.Node.launch node (Job.create ~name:"fwq" (Image.executable ~name:"fwq" entry)) with
-      | Ok () -> ()
-      | Error e -> failwith e);
-  ignore (Sim.run machine.Machine.sim);
-  if not !finished then failwith "Fwq_harness: fwk job did not finish";
-  report_of "Linux (FWK)" (collect ())
+  run (module Bg_fwk.Cluster)
+    (Bg_fwk.Cluster.create ?noise_seed ?daemons ~dims:(1, 1, 1) ())
+    ~kernel:"Linux (FWK)" ~samples
 
 let histogram tr ~bins =
   let lo = float_of_int tr.min_cycles and hi = float_of_int (tr.max_cycles + 1) in

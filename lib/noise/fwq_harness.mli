@@ -21,7 +21,8 @@ val run_on_fwk :
   ?daemons:(core:int -> Bg_fwk.Noise_model.daemon list) ->
   unit ->
   report
-(** One FWK node, the same program image. Default daemons: the SUSE set. *)
+(** One FWK node, the same program image through the same harness
+    function. Default daemons: the SUSE set. *)
 
 val histogram : thread_report -> bins:int -> (float * int) list
 (** (bin lower edge in cycles, count) pairs — the dot clouds of Figs 5–7. *)

@@ -12,42 +12,10 @@
    [decode_error], including any truncation point and any flipped bit
    (the CRC covers the whole body). *)
 
-(* --- CRC-32 (IEEE, reflected, poly 0xEDB88320) ------------------------ *)
-
-module Crc32 = struct
-  let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             c :=
-               if Int32.logand !c 1l <> 0l then
-                 Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-               else Int32.shift_right_logical !c 1
-           done;
-           !c))
-
-  let compute b ~off ~len =
-    let table = Lazy.force table in
-    let c = ref 0xFFFFFFFFl in
-    for i = off to off + len - 1 do
-      let idx =
-        Int32.to_int (Int32.logxor !c (Int32.of_int (Bytes.get_uint8 b i))) land 0xff
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
-    done;
-    Int32.logxor !c 0xFFFFFFFFl
-end
-
-let crc32 b ~off ~len = Crc32.compute b ~off ~len
-
 (* --- little-endian writer / reader ------------------------------------ *)
 
 module Buf = struct
-  type writer = Buffer.t
-
   let writer () = Buffer.create 256
-  let u8 b v = Buffer.add_uint8 b (v land 0xff)
   let i64 b v = Buffer.add_int64_le b v
   let int b v = Buffer.add_int64_le b (Int64.of_int v)
   let u32 b v = Buffer.add_int32_le b (Int32.of_int v)
@@ -60,7 +28,6 @@ module Buf = struct
     u32 b (Bytes.length x);
     Buffer.add_bytes b x
 
-  let bool b v = u8 b (if v then 1 else 0)
   let contents b = Buffer.to_bytes b
 
   (* The reader raises [Short] internally; the decode entry points below
@@ -74,12 +41,6 @@ module Buf = struct
   let remaining r = Bytes.length r.data - r.pos
 
   let need r n = if remaining r < n then raise Short
-
-  let r_u8 r =
-    need r 1;
-    let v = Bytes.get_uint8 r.data r.pos in
-    r.pos <- r.pos + 1;
-    v
 
   let r_i64 r =
     need r 8;
@@ -108,8 +69,6 @@ module Buf = struct
     let s = Bytes.sub r.data r.pos n in
     r.pos <- r.pos + n;
     s
-
-  let r_bool r = r_u8 r <> 0
 end
 
 (* --- the container ----------------------------------------------------- *)
@@ -168,7 +127,8 @@ let encode f =
   let out = Bytes.create (header_bytes + Bytes.length body) in
   Bytes.blit_string magic 0 out 0 4;
   Bytes.set_int32_le out 4 (Int32.of_int f.format_version);
-  Bytes.set_int32_le out 8 (crc32 body ~off:0 ~len:(Bytes.length body));
+  Bytes.set_int32_le out 8
+    (Int32.of_int (Bg_engine.Crc32.compute body ~pos:0 ~len:(Bytes.length body)));
   Bytes.blit body 0 out header_bytes (Bytes.length body);
   out
 
@@ -180,7 +140,10 @@ let decode b =
     if version <> format_version then Error (Unsupported_version version)
     else begin
       let expected = Bytes.get_int32_le b 8 in
-      let got = crc32 b ~off:header_bytes ~len:(Bytes.length b - header_bytes) in
+      let got =
+        Int32.of_int
+          (Bg_engine.Crc32.compute b ~pos:header_bytes ~len:(Bytes.length b - header_bytes))
+      in
       if expected <> got then Error (Bad_crc { expected; got })
       else begin
         let r = Buf.reader ~pos:header_bytes b in

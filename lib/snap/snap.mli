@@ -11,43 +11,6 @@
     Decoding never raises: truncation, bit flips, bad magic and unknown
     versions all map to a typed {!decode_error}. *)
 
-val crc32 : bytes -> off:int -> len:int -> int32
-(** IEEE CRC-32 (reflected, poly 0xEDB88320) of [len] bytes at [off]. *)
-
-(** Little-endian writer/reader used by every per-layer codec. The
-    writer is a plain [Buffer.t], so layers below this library can
-    produce compatible payloads with stdlib calls alone. *)
-module Buf : sig
-  type writer = Buffer.t
-
-  val writer : unit -> writer
-  val u8 : writer -> int -> unit
-  val u32 : writer -> int -> unit
-  val i64 : writer -> int64 -> unit
-  val int : writer -> int -> unit
-  val str : writer -> string -> unit
-  val raw : writer -> bytes -> unit
-  val bool : writer -> bool -> unit
-  val contents : writer -> bytes
-
-  type reader
-
-  val reader : ?pos:int -> bytes -> reader
-  val remaining : reader -> int
-
-  exception Short
-  (** Raised by the [r_*] reads on underrun. {!decode} catches it; code
-      using the reader directly must do the same. *)
-
-  val r_u8 : reader -> int
-  val r_u32 : reader -> int
-  val r_i64 : reader -> int64
-  val r_int : reader -> int
-  val r_str : reader -> string
-  val r_raw : reader -> bytes
-  val r_bool : reader -> bool
-end
-
 type region = { layer : string; layer_version : int; payload : bytes }
 
 type file = {

@@ -138,27 +138,25 @@ let build_fwk_noise ~seed ~knobs =
   (* stripped FWK boot is 2.6M cycles; 16 quanta run it to ~4.2M *)
   let glitch_cycle = knob_int knobs "glitch_cycle" 3_200_000 in
   let quanta = knob_int knobs "quanta" 16 in
-  let machine = Machine.create ~seed ~dims:(1, 1, 1) () in
-  enable_observability machine;
-  let node =
-    Bg_fwk.Node.create ~noise_seed:(Int64.add seed 17L)
-      ~daemons:Bg_fwk.Noise_model.quiet_daemon_set machine ~rank:0 ~stripped:true ()
+  let cluster =
+    Bg_fwk.Cluster.create ~seed ~noise_seed:(Int64.add seed 17L)
+      ~daemons:Bg_fwk.Noise_model.quiet_daemon_set ~dims:(1, 1, 1) ()
   in
-  Bg_fwk.Node.boot node ~on_ready:(fun () ->
-      match
-        Bg_fwk.Node.launch node
-          (Job.create ~name:"snapfwq"
-             (Image.executable ~name:"snapfwq" (fun () ->
-                  for _ = 1 to quanta do
-                    Coro.consume 100_000
-                  done)))
-      with
-      | Ok () -> ()
-      | Error e -> failwith ("snaprun: fwk launch failed: " ^ e));
+  let machine = Bg_fwk.Cluster.machine cluster in
+  enable_observability machine;
+  Bg_fwk.Cluster.boot_all cluster;
+  Bg_fwk.Cluster.launch_all cluster
+    (Job.create ~name:"snapfwq"
+       (Image.executable ~name:"snapfwq" (fun () ->
+            for _ = 1 to quanta do
+              Coro.consume 100_000
+            done)));
   schedule_glitch machine ~glitch ~glitch_cycle;
   {
     machine;
-    extra = (fun () -> [ region "fwk.node" (fun b -> Bg_fwk.Node.capture node b) ]);
+    extra =
+      (fun () ->
+        [ region "fwk.node" (fun b -> Bg_fwk.Node.capture (Bg_fwk.Cluster.node cluster 0) b) ]);
   }
 
 let scenarios =

@@ -27,6 +27,17 @@ let test_fnv_int_int64_consistent () =
   Alcotest.(check bool) "int matches int64" true (Fnv.equal h1 h2)
 
 (* ------------------------------------------------------------------ *)
+(* Crc32 *)
+
+let test_crc32_known () =
+  (* The standard CRC-32 check value, plus a sub-range of a larger buffer. *)
+  check_int "123456789" 0xCBF43926
+    (Crc32.compute (Bytes.of_string "123456789") ~pos:0 ~len:9);
+  check_int "offset window" 0xCBF43926
+    (Crc32.compute (Bytes.of_string "xx123456789yy") ~pos:2 ~len:9);
+  check_int "empty" 0 (Crc32.compute Bytes.empty ~pos:0 ~len:0)
+
+(* ------------------------------------------------------------------ *)
 (* Rng *)
 
 let test_rng_deterministic () =
@@ -332,6 +343,7 @@ let suite =
     Alcotest.test_case "fnv: known vectors" `Quick test_fnv_known;
     Alcotest.test_case "fnv: order sensitive" `Quick test_fnv_order_sensitive;
     Alcotest.test_case "fnv: int/int64 consistent" `Quick test_fnv_int_int64_consistent;
+    Alcotest.test_case "crc32: known answer" `Quick test_crc32_known;
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng: split stable" `Quick test_rng_split_independent;
     Alcotest.test_case "rng: split labels distinct" `Quick test_rng_split_distinct;

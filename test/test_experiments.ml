@@ -20,9 +20,8 @@ let test_fwq_cnk_quiet () =
   check_int "four threads" 4 (List.length r.Noise.Fwq_harness.threads);
   List.iter
     (fun t ->
-      check_int "min is the quantum floor" 658_958
-        (t.Noise.Fwq_harness.min_cycles - (t.Noise.Fwq_harness.min_cycles - 658_958))
-      (* every sample at least the quantum *);
+      check_bool "every sample at least the quantum" true
+        (t.Noise.Fwq_harness.min_cycles >= Bg_apps.Daxpy.quantum_cycles);
       check_bool "CNK spread under 0.01%" true (t.Noise.Fwq_harness.spread_percent < 0.01))
     r.Noise.Fwq_harness.threads
 

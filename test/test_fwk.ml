@@ -102,17 +102,10 @@ let test_noise_deterministic () =
 (* FWK node end-to-end *)
 
 let run_on_fwk ?noise_seed f =
-  let machine = Machine.create ~dims:(1, 1, 1) () in
-  let node = Fwk.Node.create ?noise_seed machine ~rank:0 ~stripped:true () in
-  let done_ = ref false in
-  Fwk.Node.boot node ~on_ready:(fun () ->
-      Fwk.Node.on_job_complete node (fun () -> done_ := true);
-      match Fwk.Node.launch node (Job.create ~name:"t" (Image.executable ~name:"t" f)) with
-      | Ok () -> ()
-      | Error e -> failwith e);
-  ignore (Sim.run machine.Machine.sim);
-  if not !done_ then failwith "fwk job did not finish";
-  node
+  let cluster = Fwk.Cluster.create ?noise_seed ~dims:(1, 1, 1) () in
+  Fwk.Cluster.boot_all cluster;
+  Fwk.Cluster.run_job cluster (Job.create ~name:"t" (Image.executable ~name:"t" f));
+  Fwk.Cluster.node cluster 0
 
 let test_fwk_runs_same_runtime () =
   (* The very same Bg_rt runtime used on CNK: malloc, pthreads, mutex. *)
@@ -388,6 +381,37 @@ let test_fwk_not_reproducible_across_environments () =
   check_bool "timing differs across environments" true (run 1L <> run 2L)
 
 (* ------------------------------------------------------------------ *)
+(* FWK cluster harness *)
+
+let test_cluster_one_node_per_rank () =
+  let cluster = Fwk.Cluster.create ~noise_seed:1L ~dims:(2, 2, 1) () in
+  Fwk.Cluster.boot_all cluster;
+  let seen = ref [] in
+  Fwk.Cluster.run_job cluster
+    (Job.create ~name:"r"
+       (Image.executable ~name:"r" (fun () ->
+            let r = Rt.Libc.rank () in
+            seen := r :: !seen)));
+  Alcotest.(check (list int)) "every rank ran exactly once" [ 0; 1; 2; 3 ] (List.sort compare !seen)
+
+let test_cluster_run_job_fails_on_blocked_rank () =
+  let cluster = Fwk.Cluster.create ~noise_seed:1L ~dims:(2, 1, 1) () in
+  Fwk.Cluster.boot_all cluster;
+  let job =
+    Job.create ~name:"b"
+      (Image.executable ~name:"b" (fun () ->
+           if Rt.Libc.rank () = 1 then begin
+             (* wait on a futex nobody will ever wake *)
+             let word = Rt.Malloc.malloc 8 in
+             Rt.Libc.poke word 0;
+             ignore (Coro.syscall (Sysreq.Futex_wait { addr = word; expected = 0 }))
+           end))
+  in
+  Alcotest.check_raises "drains with rank 1 unfinished"
+    (Failure "Cluster.run_job: sim drained with 1 node(s) unfinished") (fun () ->
+      Fwk.Cluster.run_job cluster job)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -415,4 +439,7 @@ let suite =
     Alcotest.test_case "fwk: buddy churn vs contiguous" `Quick
       test_fwk_contiguous_degrades_with_churn;
     Alcotest.test_case "fwk: not reproducible" `Quick test_fwk_not_reproducible_across_environments;
+    Alcotest.test_case "fwk cluster: one node per rank" `Quick test_cluster_one_node_per_rank;
+    Alcotest.test_case "fwk cluster: blocked rank fails run_job" `Quick
+      test_cluster_run_job_fails_on_blocked_rank;
   ]

@@ -303,20 +303,12 @@ let test_accounting_conserved_cnk () =
   check_bool "syscall cycles present" true (List.assoc Accounting.Syscall totals > 0)
 
 let test_accounting_conserved_fwk () =
-  let machine = Machine.create ~dims:(1, 1, 1) () in
+  let cluster = Bg_fwk.Cluster.create ~noise_seed:5L ~dims:(1, 1, 1) () in
+  let machine = Bg_fwk.Cluster.machine cluster in
   Accounting.set_enabled (Machine.acct machine) true;
-  let node = Bg_fwk.Node.create ~noise_seed:5L machine ~rank:0 ~stripped:true () in
+  Bg_fwk.Cluster.boot_all cluster;
   let entry, _ = Bg_apps.Fwq.program ~samples:400 ~threads:4 () in
-  let finished = ref false in
-  Bg_fwk.Node.boot node ~on_ready:(fun () ->
-      Bg_fwk.Node.on_job_complete node (fun () -> finished := true);
-      match
-        Bg_fwk.Node.launch node (Job.create ~name:"fwq" (Image.executable ~name:"fwq" entry))
-      with
-      | Ok () -> ()
-      | Error e -> failwith e);
-  ignore (Sim.run (Machine.sim machine));
-  check_bool "fwk job finished" true !finished;
+  Bg_fwk.Cluster.run_job cluster (Job.create ~name:"fwq" (Image.executable ~name:"fwq" entry));
   let acct = Machine.acct machine in
   check_bool "conservation on every FWK core" true (Accounting.conserved acct);
   let totals = Accounting.totals (Accounting.entries acct) in
@@ -454,20 +446,12 @@ let test_perf_syscall_cnk () =
 
 let test_perf_syscall_fwk () =
   let body, ok = perf_program () in
-  let machine = Machine.create ~dims:(1, 1, 1) () in
-  let node = Bg_fwk.Node.create ~noise_seed:9L machine ~rank:0 ~stripped:true () in
-  let finished = ref false in
-  Bg_fwk.Node.boot node ~on_ready:(fun () ->
-      Bg_fwk.Node.on_job_complete node (fun () -> finished := true);
-      match
-        Bg_fwk.Node.launch node
-          (Job.create ~name:"perf" (Image.executable ~name:"perf" (fun () -> body ())))
-      with
-      | Ok () -> ()
-      | Error e -> failwith e);
-  ignore (Sim.run (Machine.sim machine));
-  check_bool "fwk job finished" true !finished;
-  Alcotest.(check (list (pair int string))) "no faults" [] (Bg_fwk.Node.faults node);
+  let cluster = Bg_fwk.Cluster.create ~noise_seed:9L ~dims:(1, 1, 1) () in
+  Bg_fwk.Cluster.boot_all cluster;
+  Bg_fwk.Cluster.run_job cluster
+    (Job.create ~name:"perf" (Image.executable ~name:"perf" (fun () -> body ())));
+  Alcotest.(check (list (pair int string))) "no faults" []
+    (Bg_fwk.Node.faults (Bg_fwk.Cluster.node cluster 0));
   check_bool "FWK program read frozen UPC counters" true !ok
 
 let suite =

@@ -402,17 +402,10 @@ let prop_shipped_matches_local =
            (Image.executable ~name:"d" (run_file_program ops cnk_results)));
       (* FWK: the same ops against the local VFS *)
       let fwk_results = ref [] in
-      let machine = Machine.create ~dims:(1, 1, 1) () in
-      let node = Bg_fwk.Node.create ~noise_seed:1L machine ~rank:0 ~stripped:true () in
-      Bg_fwk.Node.boot node ~on_ready:(fun () ->
-          match
-            Bg_fwk.Node.launch node
-              (Job.create ~name:"d"
-                 (Image.executable ~name:"d" (run_file_program ops fwk_results)))
-          with
-          | Ok () -> ()
-          | Error e -> failwith e);
-      ignore (Bg_engine.Sim.run machine.Machine.sim);
+      let cluster = Bg_fwk.Cluster.create ~noise_seed:1L ~dims:(1, 1, 1) () in
+      Bg_fwk.Cluster.boot_all cluster;
+      Bg_fwk.Cluster.run_job cluster
+        (Job.create ~name:"d" (Image.executable ~name:"d" (run_file_program ops fwk_results)));
       !cnk_results = !fwk_results)
 
 (* ------------------------------------------------------------------ *)

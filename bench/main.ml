@@ -866,16 +866,29 @@ let run_congestion () =
 let run_micro () =
   section "micro: simulator wall-clock throughput (Bechamel)";
   let open Bechamel in
+  (* FWQ's shape: ~2k events pending; each run takes the head and
+     schedules one event a little later. Every eighth run also schedules
+     and cancels one (an I/O timer disarmed by its reply), so cancelled
+     entries reach the head as they do in a machine. *)
   let test_queue =
-    Test.make ~name:"event_queue add+pop x100"
-      (Staged.stage (fun () ->
-           let q = Event_queue.create () in
-           for i = 1 to 100 do
-             ignore (Event_queue.add q ~time:(i * 7 mod 50) i)
-           done;
-           while Event_queue.pop q <> None do
-             ()
-           done))
+    Test.make ~name:"event_queue take+add @2048, 1/8 cancel"
+      (Staged.stage
+         (let q = Event_queue.create () in
+          let x = ref 1 and runs = ref 0 in
+          let delay () =
+            x := ((!x * 1103515245) + 12345) land 0x3fffffff;
+            1 + ((!x lsr 8) land 4095)
+          in
+          for i = 1 to 2048 do
+            ignore (Event_queue.add q ~time:(delay ()) i)
+          done;
+          fun () ->
+            let now = Event_queue.next_time q in
+            let v = Event_queue.take q in
+            incr runs;
+            if !runs land 7 = 0 then
+              Event_queue.cancel q (Event_queue.add q ~time:(now + delay ()) v);
+            ignore (Event_queue.add q ~time:(now + delay ()) v)))
   in
   let test_memory =
     Test.make ~name:"memory write+read 4K"

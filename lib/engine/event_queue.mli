@@ -3,7 +3,13 @@
     Events are ordered by (timestamp, insertion sequence number): two events
     scheduled for the same cycle fire in insertion order. This total order
     is what makes the whole machine cycle-reproducible — the scheduler never
-    consults anything outside the queue to break ties. *)
+    consults anything outside the queue to break ties.
+
+    The head is read in two steps, neither of which allocates:
+    {[
+      let time = Event_queue.next_time q in
+      if time <> Event_queue.no_event then fire time (Event_queue.take q)
+    ]} *)
 
 type 'a t
 
@@ -12,18 +18,26 @@ type handle
 
 val create : unit -> 'a t
 
+val no_event : Cycles.t
+(** What {!next_time} returns when no live event is left ([max_int]). No
+    event can be scheduled at this cycle. *)
+
 val add : 'a t -> time:Cycles.t -> 'a -> handle
-(** [add q ~time payload] schedules [payload] at [time]. *)
+(** [add q ~time payload] schedules [payload] at [time].
+    @raise Invalid_argument if [time] is {!no_event}. *)
 
 val cancel : 'a t -> handle -> unit
 (** [cancel q h] removes the event, if it has not already fired. Cancelling
     twice, or cancelling a fired event, is a no-op. *)
 
-val pop : 'a t -> (Cycles.t * 'a) option
-(** Remove and return the earliest live event. *)
+val next_time : 'a t -> Cycles.t
+(** Timestamp of the earliest live event, or {!no_event} when there is
+    none. Cancelled events met at the head are dropped on the way. *)
 
-val peek_time : 'a t -> Cycles.t option
-(** Timestamp of the earliest live event, without removing it. *)
+val take : 'a t -> 'a
+(** Remove the earliest live event and return its payload; it fires at the
+    time {!next_time} just returned.
+    @raise Invalid_argument if no live event is left. *)
 
 val is_empty : 'a t -> bool
 

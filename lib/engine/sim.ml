@@ -27,56 +27,67 @@ let now t = t.clock
 let seed t = t.seed
 
 let schedule_at t time thunk =
-  assert (time >= t.clock);
+  if time < t.clock then
+    invalid_arg
+      (Printf.sprintf "Sim.schedule_at: cycle %d is before the current cycle %d" time
+         t.clock);
   Event_queue.add t.queue ~time thunk
 
 let schedule_in t delta thunk =
-  assert (delta >= 0);
+  if delta < 0 then
+    invalid_arg
+      (Printf.sprintf "Sim.schedule_in: negative delay %d asks for cycle %d at cycle %d"
+         delta (t.clock + delta) t.clock);
   schedule_at t (t.clock + delta) thunk
 
 let cancel t h = Event_queue.cancel t.queue h
 let pending t = Event_queue.length t.queue
 
+(* The one path by which events fire: [Event_queue.next_time] gives the
+   head's cycle (or [no_event]) and [fire] takes it, so a fired event
+   allocates nothing in the engine. *)
+let fire t time =
+  let thunk = Event_queue.take t.queue in
+  t.clock <- time;
+  t.fired <- t.fired + 1;
+  thunk ()
+
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, thunk) ->
-    t.clock <- time;
-    t.fired <- t.fired + 1;
-    thunk ();
+  let time = Event_queue.next_time t.queue in
+  if time = Event_queue.no_event then false
+  else begin
+    fire t time;
     true
+  end
 
 let halt t reason = t.halt_reason <- Some reason
 
 let run ?until ?max_events t =
-  let fired = ref 0 in
-  let rec loop () =
+  (* No event can be scheduled at [no_event] = [max_int], so with no
+     [until] the limit below is never passed. *)
+  let until = Option.value until ~default:max_int in
+  let budget = Option.value max_events ~default:max_int in
+  let rec loop fired =
     match t.halt_reason with
     | Some reason ->
       t.halt_reason <- None;
       Halted reason
     | None ->
-      let budget_ok =
-        match max_events with None -> true | Some m -> !fired < m
-      in
-      if not budget_ok then Reached_limit
+      if fired >= budget then Reached_limit
       else begin
-        match Event_queue.peek_time t.queue with
-        | None -> Completed
-        | Some time ->
-          let beyond = match until with None -> false | Some u -> time > u in
-          if beyond then begin
-            (match until with Some u -> t.clock <- max t.clock u | None -> ());
-            Reached_limit
-          end
-          else begin
-            ignore (step t);
-            incr fired;
-            loop ()
-          end
+        let time = Event_queue.next_time t.queue in
+        if time = Event_queue.no_event then Completed
+        else if time > until then begin
+          t.clock <- max t.clock until;
+          Reached_limit
+        end
+        else begin
+          fire t time;
+          loop (fired + 1)
+        end
       end
   in
-  loop ()
+  loop 0
 
 let trace t = t.trace
 let emit t ~label ~value = Trace.emit t.trace ~cycle:t.clock ~label ~value

@@ -982,12 +982,73 @@ let run_obs () =
       name events wall eps spans_n causal_n;
     (name, events, wall, eps, spans_n, causal_n)
   in
+  (* [List.map] runs the cells in the listed order; the elements of a
+     list literal would be evaluated right to left *)
   let cells =
-    [
-      cell ~name:"off" ~spans:false ~causal:false;
-      cell ~name:"spans" ~spans:true ~causal:false;
-      cell ~name:"spans+causal" ~spans:true ~causal:true;
-    ]
+    List.map
+      (fun (name, spans, causal) -> cell ~name ~spans ~causal)
+      [ ("off", false, false); ("spans", true, false); ("spans+causal", true, true) ]
+  in
+  (* Per-operation collector cost: the budget each span or causal node
+     spends, outside any simulation. Each cell runs [ops] operations
+     over 16 scopes on a fresh collector, once to warm up and then
+     [repeats] times; ns/op is the median repeat, words/op is exact. *)
+  let ops = 160_000 and repeats = 5 in
+  let per_op ~name ~setup ~run =
+    (* only [Gc.minor_words] counts the minor heap exactly *)
+    let allocated () =
+      let _, promoted, major = Gc.counters () in
+      Gc.minor_words () +. major -. promoted
+    in
+    let time_once () =
+      let c = setup () in
+      Gc.full_major ();
+      let w0 = allocated () in
+      let t0 = Unix.gettimeofday () in
+      run c;
+      let dt = Unix.gettimeofday () -. t0 in
+      (dt, allocated () -. w0)
+    in
+    ignore (time_once ());
+    let runs = List.init repeats (fun _ -> time_once ()) in
+    let ns = List.sort compare (List.map (fun (dt, _) -> dt *. 1e9 /. float_of_int ops) runs) in
+    let median = List.nth ns (repeats / 2) in
+    let spread = List.nth ns (repeats - 1) -. List.hd ns in
+    let words = snd (List.hd runs) /. float_of_int ops in
+    Printf.printf "  %-20s %7d ops  %8.1f ns/op (spread %.1f)  %6.1f words/op\n%!" name ops
+      median spread words;
+    (name, median, spread, words)
+  in
+  let names = [| "pwrite.entry"; "pwrite.exit"; "service.pwrite"; "reply.deliver" |] in
+  let mint g =
+    for i = 0 to ops - 1 do
+      ignore
+        (Bg_obs.Causal.mint g ~cat:"syscall" ~name:names.(i land 3) ~rank:(i land 15) ~core:0
+           ~now:i ())
+    done
+  in
+  let record o =
+    for i = 0 to ops - 1 do
+      Bg_obs.Obs.span_record o ~cat:"cio" ~name:names.(i land 3) ~rank:(i land 15) ~core:0
+        ~start:i ~finish:(i + 7)
+    done
+  in
+  let begin_end o =
+    for i = 0 to ops - 1 do
+      let h =
+        Bg_obs.Obs.span_begin o ~cat:"syscall" ~name:names.(i land 3) ~rank:(i land 15) ~core:0
+          ~now:i
+      in
+      Bg_obs.Obs.span_end o h ~now:(i + 7)
+    done
+  in
+  let causal () = Bg_obs.Causal.create ~max_nodes:ops ~enabled:true () in
+  let obs () = Bg_obs.Obs.create ~enabled:true () in
+  let op_cells =
+    let c1 = per_op ~name:"causal.mint" ~setup:causal ~run:mint in
+    let c2 = per_op ~name:"obs.span_record" ~setup:obs ~run:record in
+    let c3 = per_op ~name:"obs.span_begin+end" ~setup:obs ~run:begin_end in
+    [ c1; c2; c3 ]
   in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\"experiment\":\"obs\",\"workload\":\"cnk pwrite x2000\",\"cells\":[";
@@ -999,6 +1060,15 @@ let run_obs () =
            "{\"name\":\"%s\",\"events\":%d,\"wall_s\":%.6f,\"events_per_sec\":%.0f,\"spans\":%d,\"causal_nodes\":%d}"
            name events wall eps spans_n causal_n))
     cells;
+  Buffer.add_string buf "],\"ops\":[";
+  List.iteri
+    (fun i (name, ns, spread, words) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf
+        (Printf.sprintf
+           "{\"name\":\"%s\",\"ops\":%d,\"repeats\":%d,\"ns_per_op\":%.1f,\"ns_spread\":%.1f,\"words_per_op\":%.2f}"
+           name ops repeats ns spread words))
+    op_cells;
   Buffer.add_string buf "]}";
   let oc = open_out "BENCH_obs.json" in
   output_string oc (Buffer.contents buf);

@@ -3,24 +3,39 @@ type t = int64
 let empty = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 
-let add_byte h b =
-  let h = Int64.logxor h (Int64.of_int (b land 0xff)) in
-  Int64.mul h prime
+(* Every fold below keeps its running hash in a local [int64], in
+   straight-line code or a [for] loop, so the compiler leaves it unboxed:
+   only the returned [t] is allocated, never one box per byte. *)
+
+let[@inline] add_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
+
+(* [asr] on the native int yields the same eight bytes as the
+   sign-extended [Int64.of_int x], without building the int64. *)
+let add_int h x =
+  let h = add_byte h x in
+  let h = add_byte h (x asr 8) in
+  let h = add_byte h (x asr 16) in
+  let h = add_byte h (x asr 24) in
+  let h = add_byte h (x asr 32) in
+  let h = add_byte h (x asr 40) in
+  let h = add_byte h (x asr 48) in
+  add_byte h (x asr 56)
 
 let add_int64 h x =
-  let rec go h i =
-    if i = 8 then h
-    else
-      let b = Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xff in
-      go (add_byte h b) (i + 1)
-  in
-  go h 0
-
-let add_int h x = add_int64 h (Int64.of_int x)
+  let h = add_byte h (Int64.to_int x) in
+  let h = add_byte h (Int64.to_int (Int64.shift_right_logical x 8)) in
+  let h = add_byte h (Int64.to_int (Int64.shift_right_logical x 16)) in
+  let h = add_byte h (Int64.to_int (Int64.shift_right_logical x 24)) in
+  let h = add_byte h (Int64.to_int (Int64.shift_right_logical x 32)) in
+  let h = add_byte h (Int64.to_int (Int64.shift_right_logical x 40)) in
+  let h = add_byte h (Int64.to_int (Int64.shift_right_logical x 48)) in
+  add_byte h (Int64.to_int (Int64.shift_right_logical x 56))
 
 let add_string h s =
   let h = ref h in
-  String.iter (fun c -> h := add_byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := add_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 let add_bytes h b = add_string h (Bytes.unsafe_to_string b)

@@ -87,7 +87,8 @@ let instrument_syscall (m : Machine.t) ~rank ~core req k =
     match req with
     | Sysreq.Exit_thread _ | Sysreq.Exit_group _ -> k
     | _ ->
-      let name = Sysreq.request_name req in
+      let names = Sysreq.request_names req in
+      let name = names.call in
       let start = Sim.now m.sim in
       let h =
         if Obs.enabled o then Some (Obs.span_begin o ~cat:"syscall" ~name ~rank ~core ~now:start)
@@ -96,7 +97,7 @@ let instrument_syscall (m : Machine.t) ~rank ~core req k =
       (* Causal: entry and exit are program-order chained on this core's
          lane, so whatever the syscall caused in between (a function
          ship, a DMA injection) hangs between two anchors. *)
-      ignore (causal_mint m ~rank ~cat:"syscall" ~name:(name ^ ".entry") ~core);
+      ignore (causal_mint m ~rank ~cat:"syscall" ~name:names.entry ~core);
       fun reply ->
         let now = Sim.now m.sim in
         (match h with
@@ -105,7 +106,7 @@ let instrument_syscall (m : Machine.t) ~rank ~core req k =
           Obs.observe_cycles o ~rank ~subsystem:"syscall" ~name (now - start);
           Obs.incr o ~rank ~core ~subsystem:"syscall" ~name ()
         | None -> ());
-        ignore (causal_mint m ~rank ~cat:"syscall" ~name:(name ^ ".exit") ~core);
+        ignore (causal_mint m ~rank ~cat:"syscall" ~name:names.exit ~core);
         k reply
 
 let account_syscall m ~rank ~core req k =

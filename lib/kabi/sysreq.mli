@@ -195,6 +195,17 @@ val is_file_io : request -> bool
 val request_name : request -> string
 (** Short name for traces and protocol framing. *)
 
+type names = {
+  call : string;  (** {!request_name} *)
+  entry : string;  (** [call ^ ".entry"] *)
+  exit : string;  (** [call ^ ".exit"] *)
+  service : string;  (** ["service." ^ call] *)
+}
+
+val request_names : request -> names
+(** The trace names of a request, as statically allocated constants, so
+    instrumenting a syscall builds no string. *)
+
 val pp_request : Format.formatter -> request -> unit
 (** strace-style rendering: ["write(fd=3, 4096 bytes)"]. Payload contents
     are elided (length only); closures render as ["<fn>"]. *)

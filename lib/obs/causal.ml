@@ -34,35 +34,64 @@ type node = {
 
 type edge = { kind : kind; src : ctx; dst : ctx }
 
+(* The graph lives in columns, not records: each node is one slot in six
+   parallel arrays (id, rank, core, at, cat, name) and each edge one slot
+   in three (kind, src, dst). The arrays come in fixed-size chunks that
+   are allocated once when the previous chunk fills and never copied, so
+   minting allocates nothing but the occasional fresh chunk, and a large
+   graph never holds two copies of itself. Node and edge records are
+   built on demand by the query functions. *)
+
+let chunk_bits = 10
+let chunk_len = 1 lsl chunk_bits
+let chunk_mask = chunk_len - 1
+
+type node_chunk = {
+  c_id : int array;
+  c_rank : int array;
+  c_core : int array;
+  c_at : int array;
+  c_cat : string array;
+  c_name : string array;
+}
+
+type edge_chunk = { c_kind : int array; c_src : int array; c_dst : int array }
+
 type t = {
   mutable enabled : bool;
   seed : int;
+  seed_hash : Fnv.t;  (* FNV of the seed: the id stream's prefix *)
   max_nodes : int;
-  by_id : (ctx, node) Hashtbl.t;
-  mutable nodes_rev : node list;
-  mutable edges_rev : edge list;
+  mutable node_chunks : node_chunk array;  (* grown by pointer-doubling *)
+  mutable edge_chunks : edge_chunk array;
+  mutable index : int array;
+      (* open-addressed id -> node index, -1 when empty; never more than
+         half full, length a power of two *)
   mutable n_nodes : int;
   mutable n_edges : int;
   mutable minted : int;  (* feeds the id stream; never reused *)
   mutable dropped : int;
-  tails : (int * int, ctx) Hashtbl.t;  (* (rank, core) -> last minted node *)
+  tails : ctx Scope_tbl.t;  (* (rank, core) -> last minted node *)
   mutable digest : Fnv.t;
 }
+
+let initial_index = 64
 
 let create ?(seed = 1) ?(max_nodes = 262_144) ?(enabled = false) () =
   if max_nodes <= 0 then invalid_arg "Causal.create: max_nodes";
   {
     enabled;
     seed;
+    seed_hash = Fnv.add_int Fnv.empty seed;
     max_nodes;
-    by_id = Hashtbl.create 256;
-    nodes_rev = [];
-    edges_rev = [];
+    node_chunks = [||];
+    edge_chunks = [||];
+    index = Array.make initial_index (-1);
     n_nodes = 0;
     n_edges = 0;
     minted = 0;
     dropped = 0;
-    tails = Hashtbl.create 16;
+    tails = Scope_tbl.create ();
     digest = Fnv.empty;
   }
 
@@ -70,39 +99,138 @@ let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
 
 let reset t =
-  Hashtbl.reset t.by_id;
-  Hashtbl.reset t.tails;
-  t.nodes_rev <- [];
-  t.edges_rev <- [];
+  t.node_chunks <- [||];
+  t.edge_chunks <- [||];
+  t.index <- Array.make initial_index (-1);
+  Scope_tbl.reset t.tails;
   t.n_nodes <- 0;
   t.n_edges <- 0;
   t.minted <- 0;
   t.dropped <- 0;
   t.digest <- Fnv.empty
 
+(* --- columns ----------------------------------------------------------- *)
+
+let node_chunk t i = t.node_chunks.(i lsr chunk_bits)
+let node_id t i = (node_chunk t i).c_id.(i land chunk_mask)
+let node_at t i = (node_chunk t i).c_at.(i land chunk_mask)
+
+let node t i =
+  let c = node_chunk t i and j = i land chunk_mask in
+  {
+    id = c.c_id.(j);
+    cat = c.c_cat.(j);
+    name = c.c_name.(j);
+    rank = c.c_rank.(j);
+    core = c.c_core.(j);
+    at = c.c_at.(j);
+  }
+
+let kind_of_code = function
+  | 0 -> Send_recv
+  | 1 -> Inject_complete
+  | 2 -> Request_reply
+  | _ -> Parent_child
+
+let edge t i =
+  let c = t.edge_chunks.(i lsr chunk_bits) and j = i land chunk_mask in
+  { kind = kind_of_code c.c_kind.(j); src = c.c_src.(j); dst = c.c_dst.(j) }
+
+(* Room for chunk [k] in a chunk table: only the pointer array doubles. *)
+let with_room chunks k fresh =
+  if k < Array.length chunks then chunks
+  else Array.init (max 4 (2 * k)) (fun i -> if i < k then chunks.(i) else fresh)
+
+let push_node t ~id ~cat ~name ~rank ~core ~at =
+  let i = t.n_nodes in
+  let k = i lsr chunk_bits and j = i land chunk_mask in
+  if j = 0 then begin
+    let c =
+      {
+        c_id = Array.make chunk_len 0;
+        c_rank = Array.make chunk_len 0;
+        c_core = Array.make chunk_len 0;
+        c_at = Array.make chunk_len 0;
+        c_cat = Array.make chunk_len "";
+        c_name = Array.make chunk_len "";
+      }
+    in
+    t.node_chunks <- with_room t.node_chunks k c;
+    t.node_chunks.(k) <- c
+  end;
+  let c = t.node_chunks.(k) in
+  c.c_id.(j) <- id;
+  c.c_rank.(j) <- rank;
+  c.c_core.(j) <- core;
+  c.c_at.(j) <- at;
+  c.c_cat.(j) <- cat;
+  c.c_name.(j) <- name;
+  t.n_nodes <- i + 1
+
+let push_edge t kind ~src ~dst =
+  let i = t.n_edges in
+  let k = i lsr chunk_bits and j = i land chunk_mask in
+  if j = 0 then begin
+    let c =
+      {
+        c_kind = Array.make chunk_len 0;
+        c_src = Array.make chunk_len 0;
+        c_dst = Array.make chunk_len 0;
+      }
+    in
+    t.edge_chunks <- with_room t.edge_chunks k c;
+    t.edge_chunks.(k) <- c
+  end;
+  let c = t.edge_chunks.(k) in
+  c.c_kind.(j) <- kind;
+  c.c_src.(j) <- src;
+  c.c_dst.(j) <- dst;
+  t.n_edges <- i + 1
+
+(* --- id index ---------------------------------------------------------- *)
+
+(* Ids are FNV outputs, so their low bits already spread well. *)
+let rec probe t mask id i =
+  let s = Array.unsafe_get t.index i in
+  if s < 0 || node_id t s = id then i else probe t mask id ((i + 1) land mask)
+
+let slot t id =
+  let mask = Array.length t.index - 1 in
+  probe t mask id (id land mask)
+
+(* Node index of [id], or -1. *)
+let index_of t id = t.index.(slot t id)
+
+let index_add t id i =
+  if 2 * (t.n_nodes + 1) > Array.length t.index then begin
+    t.index <- Array.make (2 * Array.length t.index) (-1);
+    for s = 0 to t.n_nodes - 1 do
+      t.index.(slot t (node_id t s)) <- s
+    done
+  end;
+  t.index.(slot t id) <- i
+
+(* --- recording --------------------------------------------------------- *)
+
 (* Deterministic non-zero id: FNV(seed, counter), masked positive. A
    collision with a live id (astronomically unlikely but cheap to rule
    out) just advances the counter. *)
-let fresh_id t =
-  let rec go () =
-    t.minted <- t.minted + 1;
-    let h = Fnv.add_int (Fnv.add_int Fnv.empty t.seed) t.minted in
-    let id = Int64.to_int h land max_int in
-    if id = none || Hashtbl.mem t.by_id id then go () else id
-  in
-  go ()
+let rec fresh_id t =
+  t.minted <- t.minted + 1;
+  let id = Int64.to_int (Fnv.add_int t.seed_hash t.minted) land max_int in
+  if id = none || index_of t id >= 0 then fresh_id t else id
 
 let record_edge t kind ~src ~dst =
-  t.edges_rev <- { kind; src; dst } :: t.edges_rev;
-  t.n_edges <- t.n_edges + 1;
-  let d = Fnv.add_int t.digest (kind_code kind) in
+  let code = kind_code kind in
+  push_edge t code ~src ~dst;
+  let d = Fnv.add_int t.digest code in
   let d = Fnv.add_int d src in
   t.digest <- Fnv.add_int d dst
 
 let link t kind ~src ~dst =
   if
     t.enabled && src <> none && dst <> none
-    && Hashtbl.mem t.by_id src && Hashtbl.mem t.by_id dst
+    && index_of t src >= 0 && index_of t dst >= 0
   then record_edge t kind ~src ~dst
 
 let mint t ?(chain = true) ~cat ~name ~rank ~core ~now () =
@@ -113,37 +241,48 @@ let mint t ?(chain = true) ~cat ~name ~rank ~core ~now () =
   end
   else begin
     let id = fresh_id t in
-    let n = { id; cat; name; rank; core; at = now } in
-    Hashtbl.add t.by_id id n;
-    t.nodes_rev <- n :: t.nodes_rev;
-    t.n_nodes <- t.n_nodes + 1;
+    index_add t id t.n_nodes;
+    push_node t ~id ~cat ~name ~rank ~core ~at:now;
     let d = Fnv.add_int t.digest id in
     let d = Fnv.add_string d cat in
     let d = Fnv.add_string d name in
     let d = Fnv.add_int d rank in
     let d = Fnv.add_int d core in
     t.digest <- Fnv.add_int d now;
-    (if chain then
-       match Hashtbl.find_opt t.tails (rank, core) with
-       | Some prev -> record_edge t Parent_child ~src:prev ~dst:id
-       | None -> ());
-    Hashtbl.replace t.tails (rank, core) id;
+    let s = Scope_tbl.find t.tails ~rank ~core in
+    if s < 0 then Scope_tbl.add t.tails ~rank ~core id
+    else begin
+      if chain then record_edge t Parent_child ~src:(Scope_tbl.get t.tails s) ~dst:id;
+      Scope_tbl.set t.tails s id
+    end;
     id
   end
 
 let node_count t = t.n_nodes
 let edge_count t = t.n_edges
 let dropped t = t.dropped
-let nodes t = List.rev t.nodes_rev
-let edges t = List.rev t.edges_rev
-let find t id = Hashtbl.find_opt t.by_id id
+
+let nodes t =
+  let rec go acc i = if i < 0 then acc else go (node t i :: acc) (i - 1) in
+  go [] (t.n_nodes - 1)
+
+let edges t =
+  let rec go acc i = if i < 0 then acc else go (edge t i :: acc) (i - 1) in
+  go [] (t.n_edges - 1)
+
+let find t id =
+  let i = index_of t id in
+  if i < 0 then None else Some (node t i)
 
 let last_matching t ~cat ~name =
-  let rec go = function
-    | [] -> None
-    | n :: rest -> if n.cat = cat && n.name = name then Some n.id else go rest
+  let rec go i =
+    if i < 0 then None
+    else
+      let c = node_chunk t i and j = i land chunk_mask in
+      if String.equal c.c_cat.(j) cat && String.equal c.c_name.(j) name then Some c.c_id.(j)
+      else go (i - 1)
   in
-  go t.nodes_rev
+  go (t.n_nodes - 1)
 
 let digest t = t.digest
 
@@ -160,7 +299,8 @@ let capture t b =
   (* nodes and edges are already folded into the digest; only the
      per-scope chaining tails add restart-relevant state beyond it *)
   let tails =
-    Hashtbl.fold (fun k id acc -> (k, id) :: acc) t.tails [] |> List.sort compare
+    Scope_tbl.fold (fun ~rank ~core id acc -> ((rank, core), id) :: acc) t.tails []
+    |> List.sort compare
   in
   w_i (List.length tails);
   List.iter
@@ -177,33 +317,34 @@ let capture t b =
    actually gated progress (ties break toward the earliest-recorded
    edge, a deterministic order). *)
 let critical_path t target =
-  match Hashtbl.find_opt t.by_id target with
-  | None -> []
-  | Some tn ->
-    let preds = Hashtbl.create 64 in
-    (* edges_rev is newest first; iterate oldest-first so the earliest-
-       recorded edge wins ties via the strict [>] below *)
-    List.iter
-      (fun e ->
-        match Hashtbl.find_opt t.by_id e.src with
-        | None -> ()
-        | Some sn -> (
-          match Hashtbl.find_opt preds e.dst with
-          | Some (best : node) when sn.at <= best.at -> ()
-          | _ -> Hashtbl.replace preds e.dst sn))
-      (List.rev t.edges_rev)
-    |> ignore;
-    let visited = Hashtbl.create 64 in
-    let rec walk acc (n : node) =
-      if Hashtbl.mem visited n.id then acc
+  let ti = index_of t target in
+  if ti < 0 then []
+  else begin
+    (* best predecessor by node index, -1 for none; edges are scanned
+       oldest first so the earliest-recorded edge wins ties via the
+       strict [>] below *)
+    let preds = Array.make t.n_nodes (-1) in
+    for e = 0 to t.n_edges - 1 do
+      let c = t.edge_chunks.(e lsr chunk_bits) and j = e land chunk_mask in
+      let si = index_of t c.c_src.(j) in
+      let di = index_of t c.c_dst.(j) in
+      if si >= 0 && di >= 0 then begin
+        let best = preds.(di) in
+        if best < 0 || node_at t si > node_at t best then preds.(di) <- si
+      end
+    done;
+    let visited = Bytes.make t.n_nodes '\000' in
+    let rec walk acc i =
+      if Bytes.get visited i <> '\000' then acc
       else begin
-        Hashtbl.add visited n.id ();
-        match Hashtbl.find_opt preds n.id with
-        | Some p when p.at <= n.at -> walk (n :: acc) p
-        | _ -> n :: acc
+        Bytes.set visited i '\001';
+        let p = preds.(i) in
+        if p >= 0 && node_at t p <= node_at t i then walk (node t i :: acc) p
+        else node t i :: acc
       end
     in
-    walk [] tn
+    walk [] ti
+  end
 
 (* --- path attribution -------------------------------------------------- *)
 

@@ -48,11 +48,13 @@ type open_span = {
   o_depth : int;
 }
 
-(* CNK-style fixed-memory record store: parallel arrays sized once at
-   creation, overwritten in place when full. Nothing here grows during
-   steady state; only the (bounded) per-scope ring table is populated
-   lazily, once per (rank, core) ever seen. *)
-type ring = {
+(* CNK-style fixed-memory record store: one record per (rank, core)
+   scope, holding that scope's span ring (parallel arrays sized once, then
+   overwritten in place when full), its open-span depth and its cached
+   [obs.dropped_spans] counter cell. A span touches exactly one scope,
+   found by one allocation-free lookup; nothing grows during steady
+   state, and the scope table itself is populated once per scope seen. *)
+type scope = {
   cap : int;
   cats : string array;
   names : string array;
@@ -61,6 +63,8 @@ type ring = {
   depths : int array;
   seqs : int array;  (* global completion sequence number per slot *)
   mutable written : int;  (* total spans ever pushed through this ring *)
+  mutable depth : int;  (* spans currently open in this scope *)
+  mutable dropped : int ref option;  (* this scope's dropped_spans cell *)
 }
 
 type timer = { online : Stats.Online.t; hist : Stats.Histogram.t }
@@ -68,9 +72,8 @@ type timer = { online : Stats.Online.t; hist : Stats.Histogram.t }
 type t = {
   mutable enabled : bool;
   ring_capacity : int;
-  rings : (int * int, ring) Hashtbl.t;
+  scopes : scope Scope_tbl.t;
   opens : (handle, open_span) Hashtbl.t;
-  depths : (int * int, int ref) Hashtbl.t;
   mutable next_handle : int;
   mutable digest : Fnv.t;
   mutable completed : int;
@@ -84,9 +87,8 @@ let create ?(ring_capacity = 1024) ?(enabled = false) () =
   {
     enabled;
     ring_capacity;
-    rings = Hashtbl.create 16;
+    scopes = Scope_tbl.create ();
     opens = Hashtbl.create 32;
-    depths = Hashtbl.create 16;
     next_handle = 0;
     digest = Fnv.empty;
     completed = 0;
@@ -99,53 +101,59 @@ let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
 let ring_capacity t = t.ring_capacity
 
-let ring_for t scope =
-  match Hashtbl.find_opt t.rings scope with
-  | Some r -> r
-  | None ->
-    let cap = t.ring_capacity in
-    let r =
-      {
-        cap;
-        cats = Array.make cap "";
-        names = Array.make cap "";
-        starts = Array.make cap 0;
-        finishes = Array.make cap 0;
-        depths = Array.make cap 0;
-        seqs = Array.make cap 0;
-        written = 0;
-      }
-    in
-    Hashtbl.add t.rings scope r;
-    r
+let new_scope cap =
+  {
+    cap;
+    cats = Array.make cap "";
+    names = Array.make cap "";
+    starts = Array.make cap 0;
+    finishes = Array.make cap 0;
+    depths = Array.make cap 0;
+    seqs = Array.make cap 0;
+    written = 0;
+    depth = 0;
+    dropped = None;
+  }
 
-let depth_for t scope =
-  match Hashtbl.find_opt t.depths scope with
-  | Some d -> d
-  | None ->
-    let d = ref 0 in
-    Hashtbl.add t.depths scope d;
-    d
+let scope_for t ~rank ~core =
+  let i = Scope_tbl.find t.scopes ~rank ~core in
+  if i >= 0 then Scope_tbl.get t.scopes i
+  else begin
+    let sc = new_scope t.ring_capacity in
+    Scope_tbl.add t.scopes ~rank ~core sc;
+    sc
+  end
 
-let push_span t ~cat ~name ~rank ~core ~start ~finish ~depth =
-  let ring = ring_for t (rank, core) in
-  let i = ring.written mod ring.cap in
-  (* Ring wraparound overwrites the oldest span. That loss used to be
-     visible only through arithmetic on [written]; count it as a
-     first-class per-scope metric so exports and tools can warn. *)
-  if ring.written >= ring.cap then begin
+(* Ring wraparound overwrites the oldest span; count each loss as a
+   first-class per-scope metric so exports and tools can warn. The
+   counter cell is looked up once per scope, on its first drop. *)
+let count_drop t sc ~rank ~core =
+  match sc.dropped with
+  | Some r -> Stdlib.incr r
+  | None ->
     let key = { subsystem = "obs"; name = "dropped_spans"; rank; core } in
-    match Hashtbl.find_opt t.counters key with
-    | Some r -> Stdlib.incr r
-    | None -> Hashtbl.add t.counters key (ref 1)
-  end;
-  ring.cats.(i) <- cat;
-  ring.names.(i) <- name;
-  ring.starts.(i) <- start;
-  ring.finishes.(i) <- finish;
-  ring.depths.(i) <- depth;
-  ring.seqs.(i) <- t.completed;
-  ring.written <- ring.written + 1;
+    let r =
+      match Hashtbl.find_opt t.counters key with
+      | Some r ->
+        Stdlib.incr r;
+        r
+      | None ->
+        let r = ref 1 in
+        Hashtbl.add t.counters key r;
+        r
+    in
+    sc.dropped <- Some r
+
+let push_span t sc ~cat ~name ~rank ~core ~start ~finish ~depth =
+  let i = sc.written mod sc.cap in
+  if sc.written >= sc.cap then count_drop t sc ~rank ~core;
+  sc.cats.(i) <- cat;
+  sc.names.(i) <- name;
+  sc.starts.(i) <- start;
+  sc.finishes.(i) <- finish;
+  sc.depths.(i) <- depth;
+  sc.seqs.(i) <- t.completed;
+  sc.written <- sc.written + 1;
   t.completed <- t.completed + 1;
   let d = Fnv.add_string t.digest cat in
   let d = Fnv.add_string d name in
@@ -157,30 +165,35 @@ let push_span t ~cat ~name ~rank ~core ~start ~finish ~depth =
 let span_begin t ~cat ~name ~rank ~core ~now =
   if not t.enabled then null_handle
   else begin
-    let d = depth_for t (rank, core) in
+    let sc = scope_for t ~rank ~core in
     let h = t.next_handle in
     t.next_handle <- h + 1;
     Hashtbl.add t.opens h
-      { o_cat = cat; o_name = name; o_rank = rank; o_core = core; o_start = now; o_depth = !d };
-    incr d;
+      { o_cat = cat; o_name = name; o_rank = rank; o_core = core; o_start = now; o_depth = sc.depth };
+    sc.depth <- sc.depth + 1;
     h
   end
+
+(* Forget open span [h], found as [o], and pop its scope's depth. *)
+let close_open t h o =
+  Hashtbl.remove t.opens h;
+  let sc = scope_for t ~rank:o.o_rank ~core:o.o_core in
+  if sc.depth > 0 then sc.depth <- sc.depth - 1;
+  sc
 
 let span_end t h ~now =
   if t.enabled && h <> null_handle then
     match Hashtbl.find_opt t.opens h with
     | None -> ()
     | Some o ->
-      Hashtbl.remove t.opens h;
-      let d = depth_for t (o.o_rank, o.o_core) in
-      if !d > 0 then decr d;
-      push_span t ~cat:o.o_cat ~name:o.o_name ~rank:o.o_rank ~core:o.o_core
+      let sc = close_open t h o in
+      push_span t sc ~cat:o.o_cat ~name:o.o_name ~rank:o.o_rank ~core:o.o_core
         ~start:o.o_start ~finish:now ~depth:o.o_depth
 
 let span_record t ~cat ~name ~rank ~core ~start ~finish =
   if t.enabled then begin
-    let d = depth_for t (rank, core) in
-    push_span t ~cat ~name ~rank ~core ~start ~finish ~depth:!d
+    let sc = scope_for t ~rank ~core in
+    push_span t sc ~cat ~name ~rank ~core ~start ~finish ~depth:sc.depth
   end
 
 let open_count t = Hashtbl.length t.opens
@@ -189,17 +202,14 @@ let abandon_open t h =
   if h <> null_handle then
     match Hashtbl.find_opt t.opens h with
     | None -> ()
-    | Some o ->
-      Hashtbl.remove t.opens h;
-      let d = depth_for t (o.o_rank, o.o_core) in
-      if !d > 0 then decr d
+    | Some o -> ignore (close_open t h o)
 
 let span_count t = t.completed
 
 let dropped_spans t =
-  Hashtbl.fold (fun _ r acc -> acc + max 0 (r.written - r.cap)) t.rings 0
+  Scope_tbl.fold (fun ~rank:_ ~core:_ r acc -> acc + max 0 (r.written - r.cap)) t.scopes 0
 
-let iter_scope_spans r f =
+let iter_scope_spans ~rank ~core r f =
   let retained = min r.written r.cap in
   let first = r.written - retained in
   for j = first to r.written - 1 do
@@ -208,8 +218,8 @@ let iter_scope_spans r f =
       {
         cat = r.cats.(i);
         name = r.names.(i);
-        rank = 0;  (* overwritten below by caller-side scope *)
-        core = 0;
+        rank;
+        core;
         start = r.starts.(i);
         finish = r.finishes.(i);
         depth = r.depths.(i);
@@ -219,13 +229,13 @@ let iter_scope_spans r f =
 
 let spans t =
   let scopes =
-    Hashtbl.fold (fun scope r acc -> (scope, r) :: acc) t.rings []
+    Scope_tbl.fold (fun ~rank ~core r acc -> ((rank, core), r) :: acc) t.scopes []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let out = ref [] in
   List.iter
     (fun ((rank, core), r) ->
-      iter_scope_spans r (fun s -> out := { s with rank; core } :: !out))
+      iter_scope_spans ~rank ~core r (fun s -> out := s :: !out))
     scopes;
   (* total order: start cycle, then scope, then global completion
      sequence — equal-start spans sort deterministically no matter what
@@ -398,7 +408,8 @@ let capture t b =
       w_i o.o_depth)
     opens;
   let depths =
-    Hashtbl.fold (fun k d acc -> (k, !d) :: acc) t.depths [] |> List.sort compare
+    Scope_tbl.fold (fun ~rank ~core sc acc -> ((rank, core), sc.depth) :: acc) t.scopes []
+    |> List.sort compare
   in
   w_i (List.length depths);
   List.iter
@@ -436,9 +447,8 @@ let capture t b =
     ms
 
 let reset t =
-  Hashtbl.reset t.rings;
+  Scope_tbl.reset t.scopes;
   Hashtbl.reset t.opens;
-  Hashtbl.reset t.depths;
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.timers;

@@ -213,6 +213,328 @@ let test_ring_overflow_drop_counter () =
   check_int "other scopes unaffected" 0
     (Obs.counter_value o ~rank:0 ~core:0 ~subsystem:"obs" ~name:"dropped_spans" ())
 
+(* ------------------------------------------------------------------ *)
+(* Model-based check of the columnar store: the list + Hashtbl graph the
+   collector used to be, kept here verbatim as the reference. Random mint,
+   link, lookup, enable and reset sequences must give the same nodes,
+   edges, ids, counts, drops, digests, critical paths and capture bytes. *)
+
+module Model = struct
+  open Causal
+
+  let kind_code = function
+    | Send_recv -> 0
+    | Inject_complete -> 1
+    | Request_reply -> 2
+    | Parent_child -> 3
+
+  type t = {
+    mutable enabled : bool;
+    seed : int;
+    max_nodes : int;
+    by_id : (ctx, node) Hashtbl.t;
+    mutable nodes_rev : node list;
+    mutable edges_rev : edge list;
+    mutable n_nodes : int;
+    mutable n_edges : int;
+    mutable minted : int;
+    mutable dropped : int;
+    tails : (int * int, ctx) Hashtbl.t;
+    mutable digest : Fnv.t;
+  }
+
+  let create ~seed ~max_nodes ~enabled =
+    {
+      enabled;
+      seed;
+      max_nodes;
+      by_id = Hashtbl.create 256;
+      nodes_rev = [];
+      edges_rev = [];
+      n_nodes = 0;
+      n_edges = 0;
+      minted = 0;
+      dropped = 0;
+      tails = Hashtbl.create 16;
+      digest = Fnv.empty;
+    }
+
+  let reset t =
+    Hashtbl.reset t.by_id;
+    Hashtbl.reset t.tails;
+    t.nodes_rev <- [];
+    t.edges_rev <- [];
+    t.n_nodes <- 0;
+    t.n_edges <- 0;
+    t.minted <- 0;
+    t.dropped <- 0;
+    t.digest <- Fnv.empty
+
+  let fresh_id t =
+    let rec go () =
+      t.minted <- t.minted + 1;
+      let h = Fnv.add_int (Fnv.add_int Fnv.empty t.seed) t.minted in
+      let id = Int64.to_int h land max_int in
+      if id = none || Hashtbl.mem t.by_id id then go () else id
+    in
+    go ()
+
+  let record_edge t kind ~src ~dst =
+    t.edges_rev <- { kind; src; dst } :: t.edges_rev;
+    t.n_edges <- t.n_edges + 1;
+    let d = Fnv.add_int t.digest (kind_code kind) in
+    let d = Fnv.add_int d src in
+    t.digest <- Fnv.add_int d dst
+
+  let link t kind ~src ~dst =
+    if
+      t.enabled && src <> none && dst <> none
+      && Hashtbl.mem t.by_id src && Hashtbl.mem t.by_id dst
+    then record_edge t kind ~src ~dst
+
+  let mint t ~chain ~cat ~name ~rank ~core ~now =
+    if not t.enabled then none
+    else if t.n_nodes >= t.max_nodes then begin
+      t.dropped <- t.dropped + 1;
+      none
+    end
+    else begin
+      let id = fresh_id t in
+      let n = { id; cat; name; rank; core; at = now } in
+      Hashtbl.add t.by_id id n;
+      t.nodes_rev <- n :: t.nodes_rev;
+      t.n_nodes <- t.n_nodes + 1;
+      let d = Fnv.add_int t.digest id in
+      let d = Fnv.add_string d cat in
+      let d = Fnv.add_string d name in
+      let d = Fnv.add_int d rank in
+      let d = Fnv.add_int d core in
+      t.digest <- Fnv.add_int d now;
+      (if chain then
+         match Hashtbl.find_opt t.tails (rank, core) with
+         | Some prev -> record_edge t Parent_child ~src:prev ~dst:id
+         | None -> ());
+      Hashtbl.replace t.tails (rank, core) id;
+      id
+    end
+
+  let nodes t = List.rev t.nodes_rev
+  let edges t = List.rev t.edges_rev
+  let find t id = Hashtbl.find_opt t.by_id id
+
+  let last_matching t ~cat ~name =
+    let rec go = function
+      | [] -> None
+      | n :: rest -> if n.cat = cat && n.name = name then Some n.id else go rest
+    in
+    go t.nodes_rev
+
+  let capture t b =
+    let w_i v = Buffer.add_int64_le b (Int64.of_int v) in
+    Buffer.add_uint8 b (if t.enabled then 1 else 0);
+    w_i t.seed;
+    w_i t.max_nodes;
+    w_i t.n_nodes;
+    w_i t.n_edges;
+    w_i t.minted;
+    w_i t.dropped;
+    Buffer.add_int64_le b t.digest;
+    let tails =
+      Hashtbl.fold (fun k id acc -> (k, id) :: acc) t.tails [] |> List.sort compare
+    in
+    w_i (List.length tails);
+    List.iter
+      (fun ((rank, core), id) ->
+        w_i rank;
+        w_i core;
+        w_i id)
+      tails
+
+  let critical_path t target =
+    match Hashtbl.find_opt t.by_id target with
+    | None -> []
+    | Some tn ->
+      let preds = Hashtbl.create 64 in
+      List.iter
+        (fun e ->
+          match Hashtbl.find_opt t.by_id e.src with
+          | None -> ()
+          | Some sn -> (
+            match Hashtbl.find_opt preds e.dst with
+            | Some (best : node) when sn.at <= best.at -> ()
+            | _ -> Hashtbl.replace preds e.dst sn))
+        (List.rev t.edges_rev);
+      let visited = Hashtbl.create 64 in
+      let rec walk acc (n : node) =
+        if Hashtbl.mem visited n.id then acc
+        else begin
+          Hashtbl.add visited n.id ();
+          match Hashtbl.find_opt preds n.id with
+          | Some p when p.at <= n.at -> walk (n :: acc) p
+          | _ -> n :: acc
+        end
+      in
+      walk [] tn
+end
+
+(* A context operand: the k-th newest node (modulo the count), an id no
+   node has, or [none]. *)
+type ctx_ref = Known of int | Unknown of int | No_ctx
+
+type causal_op =
+  | Mint of { chain : bool; cat : string; name : string; rank : int; core : int; now : int }
+  | Link of Causal.kind * ctx_ref * ctx_ref
+  | Find of ctx_ref
+  | Last of string * string
+  | Critical of ctx_ref
+  | Enable of bool
+  | Reset
+
+let kinds = [ Causal.Send_recv; Causal.Inject_complete; Causal.Request_reply; Causal.Parent_child ]
+
+let pp_ref = function
+  | Known k -> Printf.sprintf "known#%d" k
+  | Unknown id -> Printf.sprintf "unknown:%d" id
+  | No_ctx -> "none"
+
+let pp_causal_op = function
+  | Mint m ->
+    Printf.sprintf "mint%s %s/%s r%d c%d @%d" (if m.chain then "" else "(unchained)") m.cat
+      m.name m.rank m.core m.now
+  | Link (k, a, b) -> Printf.sprintf "link %s %s %s" (Causal.kind_name k) (pp_ref a) (pp_ref b)
+  | Find r -> "find " ^ pp_ref r
+  | Last (c, n) -> Printf.sprintf "last %s/%s" c n
+  | Critical r -> "critical " ^ pp_ref r
+  | Enable b -> Printf.sprintf "enable %b" b
+  | Reset -> "reset"
+
+let gen_causal_case =
+  let open QCheck.Gen in
+  let gen_ref =
+    frequency
+      [
+        (6, map (fun k -> Known k) (int_bound 1000));
+        (1, map (fun id -> Unknown id) (int_range 1 1000));
+        (1, return No_ctx);
+      ]
+  in
+  let gen_mint =
+    map
+      (fun (chain, cat, name, (rank, core), now) -> Mint { chain; cat; name; rank; core; now })
+      (tup5
+         (frequency [ (4, return true); (1, return false) ])
+         (oneofl [ "syscall"; "cio"; "coll" ])
+         (oneofl [ "entry"; "exit"; "deliver" ])
+         (pair (int_range (-1) 2) (int_range (-1) 2))
+         (int_bound 60))
+  in
+  let gen_op =
+    frequency
+      [
+        (10, gen_mint);
+        (4, map3 (fun k a b -> Link (k, a, b)) (oneofl kinds) gen_ref gen_ref);
+        (1, map (fun r -> Find r) gen_ref);
+        ( 1,
+          map2
+            (fun c n -> Last (c, n))
+            (oneofl [ "syscall"; "cio"; "none" ])
+            (oneofl [ "entry"; "exit"; "deliver" ]) );
+        (1, map (fun r -> Critical r) gen_ref);
+        (1, map (fun b -> Enable b) (frequency [ (1, return false); (3, return true) ]));
+        (1, return Reset);
+      ]
+  in
+  tup3 (int_range 0 5) (int_range 1 40) (list_size (int_range 0 80) gen_op)
+
+let arb_causal_case =
+  QCheck.make
+    ~print:(fun (seed, max_nodes, ops) ->
+      Printf.sprintf "seed %d, max_nodes %d: [%s]" seed max_nodes
+        (String.concat "; " (List.map pp_causal_op ops)))
+    ~shrink:QCheck.Shrink.(triple nil nil list)
+    gen_causal_case
+
+let causal_model_agrees ?(path_stride = 1) (seed, max_nodes, ops) =
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+  let g = Causal.create ~seed ~max_nodes ~enabled:true () in
+  let m = Model.create ~seed ~max_nodes ~enabled:true in
+  let resolve = function
+    | No_ctx -> Causal.none
+    | Unknown id -> id
+    | Known k ->
+      if m.n_nodes = 0 then Causal.none
+      else (List.nth m.nodes_rev (k mod m.n_nodes)).Causal.id
+  in
+  let same_graph () =
+    if Causal.node_count g <> m.n_nodes then fail "node_count";
+    if Causal.edge_count g <> m.n_edges then fail "edge_count";
+    if Causal.dropped g <> m.dropped then fail "dropped";
+    if not (Fnv.equal (Causal.digest g) m.digest) then fail "digest"
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Mint { chain; cat; name; rank; core; now } ->
+        let a = Causal.mint g ~chain ~cat ~name ~rank ~core ~now () in
+        let b = Model.mint m ~chain ~cat ~name ~rank ~core ~now in
+        if a <> b then fail "mint returned %d, model %d" a b
+      | Link (k, a, b) ->
+        let src = resolve a and dst = resolve b in
+        Causal.link g k ~src ~dst;
+        Model.link m k ~src ~dst
+      | Find r ->
+        let id = resolve r in
+        if Causal.find g id <> Model.find m id then fail "find %d" id
+      | Last (cat, name) ->
+        if Causal.last_matching g ~cat ~name <> Model.last_matching m ~cat ~name then
+          fail "last_matching %s/%s" cat name
+      | Critical r ->
+        let id = resolve r in
+        if Causal.critical_path g id <> Model.critical_path m id then fail "critical_path %d" id
+      | Enable b ->
+        Causal.set_enabled g b;
+        m.enabled <- b
+      | Reset ->
+        Causal.reset g;
+        Model.reset m);
+      same_graph ())
+    ops;
+  if Causal.nodes g <> Model.nodes m then fail "nodes";
+  if Causal.edges g <> Model.edges m then fail "edges";
+  List.iteri
+    (fun i (n : Causal.node) ->
+      if Causal.find g n.id <> Some n then fail "find %d" n.id;
+      if i mod path_stride = 0 && Causal.critical_path g n.id <> Model.critical_path m n.id
+      then fail "critical_path %d" n.id)
+    (Model.nodes m);
+  let cap f =
+    let b = Buffer.create 256 in
+    f b;
+    Buffer.contents b
+  in
+  if cap (Causal.capture g) <> cap (Model.capture m) then fail "capture bytes";
+  true
+
+let prop_causal_model =
+  QCheck.Test.make ~name:"causal store agrees with the list+Hashtbl model" ~count:10_000
+    ~long_factor:10 arb_causal_case causal_model_agrees
+
+(* The random cases stay far below one 1,024-entry chunk; this one fills
+   more than four chunks of nodes and of edges, so the chunk tables grow,
+   and hits the cap after them. *)
+let test_causal_model_across_chunks () =
+  let rand = Random.State.make [| 14 |] in
+  let ops = QCheck.Gen.(list_repeat 450 (map (fun (_, _, ops) -> ops) gen_causal_case)) rand in
+  let ops =
+    (* paths are checked at the end, on every 97th node *)
+    List.concat ops
+    |> List.filter (function Reset | Enable false | Critical _ -> false | _ -> true)
+  in
+  let mints = List.length (List.filter (function Mint _ -> true | _ -> false) ops) in
+  check_bool "enough mints to fill the cap" true (mints > 5000);
+  check_bool "model agrees across chunk boundaries" true
+    (causal_model_agrees ~path_stride:97 (3, 5000, ops))
+
 let suite =
   [
     Alcotest.test_case "same seed, same causal digest" `Quick test_same_seed_same_digest;
@@ -229,4 +551,7 @@ let suite =
       test_flow_fields_escaped;
     Alcotest.test_case "span-ring overflow drop counter" `Quick
       test_ring_overflow_drop_counter;
+    Alcotest.test_case "causal store agrees with the model across chunks" `Quick
+      test_causal_model_across_chunks;
+    QCheck_alcotest.to_alcotest prop_causal_model;
   ]

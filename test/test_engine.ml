@@ -14,7 +14,9 @@ let test_fnv_known () =
   Alcotest.(check string) "empty" "cbf29ce484222325" (Fnv.to_hex Fnv.empty);
   (* Well-known FNV-1a test vector: "a" -> af63dc4c8601ec8c *)
   Alcotest.(check string) "a" "af63dc4c8601ec8c"
-    (Fnv.to_hex (Fnv.add_string Fnv.empty "a"))
+    (Fnv.to_hex (Fnv.add_string Fnv.empty "a"));
+  Alcotest.(check string) "foobar" "85944171f73967e8"
+    (Fnv.to_hex (Fnv.add_string Fnv.empty "foobar"))
 
 let test_fnv_order_sensitive () =
   let h1 = Fnv.add_string (Fnv.add_string Fnv.empty "ab") "cd" in
@@ -22,9 +24,53 @@ let test_fnv_order_sensitive () =
   Alcotest.(check bool) "order matters" false (Fnv.equal h1 h2)
 
 let test_fnv_int_int64_consistent () =
-  let h1 = Fnv.add_int Fnv.empty 12345 in
-  let h2 = Fnv.add_int64 Fnv.empty 12345L in
-  Alcotest.(check bool) "int matches int64" true (Fnv.equal h1 h2)
+  List.iter
+    (fun x ->
+      let h1 = Fnv.add_int Fnv.empty x in
+      let h2 = Fnv.add_int64 Fnv.empty (Int64.of_int x) in
+      Alcotest.(check string) (Printf.sprintf "int %d matches int64" x) (Fnv.to_hex h2)
+        (Fnv.to_hex h1))
+    [ 12345; 0; -1; -12345; 1 lsl 55; -(1 lsl 55); min_int; max_int ]
+
+(* Reference model: FNV-1a written from its definition, one byte at a
+   time over an explicit little-endian byte list. *)
+let fnv_ref h bytes =
+  List.fold_left
+    (fun h b -> Int64.mul (Int64.logxor h (Int64.of_int b)) 0x100000001b3L)
+    h bytes
+
+let le_bytes x =
+  List.init 8 (fun i -> Int64.to_int (Int64.logand (Int64.shift_right_logical x (8 * i)) 0xffL))
+
+let string_bytes s = List.init (String.length s) (fun i -> Char.code s.[i])
+
+let arb_hash_start = QCheck.(oneof [ always Fnv.empty; int64 ])
+
+let arb_any_int =
+  QCheck.(
+    oneof [ int; neg_int; small_signed_int; always min_int; always max_int; always 0; always (-1) ])
+
+let arb_any_string =
+  QCheck.(oneof [ always ""; string; string_of_size Gen.(200 -- 2000) ])
+
+let prop_fnv_int =
+  QCheck.Test.make ~name:"fnv add_int agrees with the byte-at-a-time reference" ~count:2000
+    QCheck.(pair arb_hash_start arb_any_int)
+    (fun (h, x) -> Int64.equal (Fnv.add_int h x) (fnv_ref h (le_bytes (Int64.of_int x))))
+
+let prop_fnv_int64 =
+  QCheck.Test.make ~name:"fnv add_int64 agrees with the byte-at-a-time reference" ~count:2000
+    QCheck.(pair arb_hash_start (oneof [ int64; always Int64.min_int; always Int64.max_int; always (-1L) ]))
+    (fun (h, x) -> Int64.equal (Fnv.add_int64 h x) (fnv_ref h (le_bytes x)))
+
+let prop_fnv_string =
+  QCheck.Test.make ~name:"fnv add_string/add_bytes agree with the byte-at-a-time reference"
+    ~count:1000
+    QCheck.(pair arb_hash_start arb_any_string)
+    (fun (h, s) ->
+      let expect = fnv_ref h (string_bytes s) in
+      Int64.equal (Fnv.add_string h s) expect
+      && Int64.equal (Fnv.add_bytes h (Bytes.of_string s)) expect)
 
 (* ------------------------------------------------------------------ *)
 (* Crc32 *)
@@ -567,7 +613,16 @@ let prop_percentile_bounds =
 
 (* ------------------------------------------------------------------ *)
 
-let qcheck = List.map QCheck_alcotest.to_alcotest [ prop_queue_sorted; prop_queue_model; prop_percentile_bounds ]
+let qcheck =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_fnv_int;
+      prop_fnv_int64;
+      prop_fnv_string;
+      prop_queue_sorted;
+      prop_queue_model;
+      prop_percentile_bounds;
+    ]
 
 let suite =
   [

@@ -454,6 +454,423 @@ let test_perf_syscall_fwk () =
     (Bg_fwk.Node.faults (Bg_fwk.Cluster.node cluster 0));
   check_bool "FWK program read frozen UPC counters" true !ok
 
+(* ------------------------------------------------------------------ *)
+(* Model-based check of the span store: the separate ring and depth
+   tables plus per-drop counter lookup the collector used to be, kept
+   here as the reference (counters only: the operations below touch no
+   gauge or timer). Tiny rings wrap constantly, so the drop counter is
+   exercised on every case. *)
+
+module Span_model = struct
+  type open_span = {
+    o_cat : string;
+    o_name : string;
+    o_rank : int;
+    o_core : int;
+    o_start : int;
+    o_depth : int;
+  }
+
+  type ring = {
+    cap : int;
+    cats : string array;
+    names : string array;
+    starts : int array;
+    finishes : int array;
+    depths : int array;
+    seqs : int array;
+    mutable written : int;
+  }
+
+  type t = {
+    mutable enabled : bool;
+    ring_capacity : int;
+    rings : (int * int, ring) Hashtbl.t;
+    opens : (int, open_span) Hashtbl.t;
+    depths : (int * int, int ref) Hashtbl.t;
+    mutable next_handle : int;
+    mutable digest : Fnv.t;
+    mutable completed : int;
+    counters : (Obs.key, int ref) Hashtbl.t;
+  }
+
+  let create ~ring_capacity =
+    {
+      enabled = true;
+      ring_capacity;
+      rings = Hashtbl.create 16;
+      opens = Hashtbl.create 32;
+      depths = Hashtbl.create 16;
+      next_handle = 0;
+      digest = Fnv.empty;
+      completed = 0;
+      counters = Hashtbl.create 64;
+    }
+
+  let null_handle = -1
+
+  let ring_for t scope =
+    match Hashtbl.find_opt t.rings scope with
+    | Some r -> r
+    | None ->
+      let cap = t.ring_capacity in
+      let r =
+        {
+          cap;
+          cats = Array.make cap "";
+          names = Array.make cap "";
+          starts = Array.make cap 0;
+          finishes = Array.make cap 0;
+          depths = Array.make cap 0;
+          seqs = Array.make cap 0;
+          written = 0;
+        }
+      in
+      Hashtbl.add t.rings scope r;
+      r
+
+  let depth_for t scope =
+    match Hashtbl.find_opt t.depths scope with
+    | Some d -> d
+    | None ->
+      let d = ref 0 in
+      Hashtbl.add t.depths scope d;
+      d
+
+  let push_span t ~cat ~name ~rank ~core ~start ~finish ~depth =
+    let ring = ring_for t (rank, core) in
+    let i = ring.written mod ring.cap in
+    if ring.written >= ring.cap then begin
+      let key = { Obs.subsystem = "obs"; name = "dropped_spans"; rank; core } in
+      match Hashtbl.find_opt t.counters key with
+      | Some r -> Stdlib.incr r
+      | None -> Hashtbl.add t.counters key (ref 1)
+    end;
+    ring.cats.(i) <- cat;
+    ring.names.(i) <- name;
+    ring.starts.(i) <- start;
+    ring.finishes.(i) <- finish;
+    ring.depths.(i) <- depth;
+    ring.seqs.(i) <- t.completed;
+    ring.written <- ring.written + 1;
+    t.completed <- t.completed + 1;
+    let d = Fnv.add_string t.digest cat in
+    let d = Fnv.add_string d name in
+    let d = Fnv.add_int d rank in
+    let d = Fnv.add_int d core in
+    let d = Fnv.add_int d start in
+    t.digest <- Fnv.add_int d finish
+
+  let span_begin t ~cat ~name ~rank ~core ~now =
+    if not t.enabled then null_handle
+    else begin
+      let d = depth_for t (rank, core) in
+      let h = t.next_handle in
+      t.next_handle <- h + 1;
+      Hashtbl.add t.opens h
+        { o_cat = cat; o_name = name; o_rank = rank; o_core = core; o_start = now; o_depth = !d };
+      incr d;
+      h
+    end
+
+  let span_end t h ~now =
+    if t.enabled && h <> null_handle then
+      match Hashtbl.find_opt t.opens h with
+      | None -> ()
+      | Some o ->
+        Hashtbl.remove t.opens h;
+        let d = depth_for t (o.o_rank, o.o_core) in
+        if !d > 0 then decr d;
+        push_span t ~cat:o.o_cat ~name:o.o_name ~rank:o.o_rank ~core:o.o_core
+          ~start:o.o_start ~finish:now ~depth:o.o_depth
+
+  let span_record t ~cat ~name ~rank ~core ~start ~finish =
+    if t.enabled then begin
+      let d = depth_for t (rank, core) in
+      push_span t ~cat ~name ~rank ~core ~start ~finish ~depth:!d
+    end
+
+  let abandon_open t h =
+    if h <> null_handle then
+      match Hashtbl.find_opt t.opens h with
+      | None -> ()
+      | Some o ->
+        Hashtbl.remove t.opens h;
+        let d = depth_for t (o.o_rank, o.o_core) in
+        if !d > 0 then decr d
+
+  let dropped_spans t =
+    Hashtbl.fold (fun _ r acc -> acc + max 0 (r.written - r.cap)) t.rings 0
+
+  let spans t =
+    let scopes =
+      Hashtbl.fold (fun scope r acc -> (scope, r) :: acc) t.rings []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    in
+    let out = ref [] in
+    List.iter
+      (fun ((rank, core), r) ->
+        let retained = min r.written r.cap in
+        for j = r.written - retained to r.written - 1 do
+          let i = j mod r.cap in
+          out :=
+            {
+              Obs.cat = r.cats.(i);
+              name = r.names.(i);
+              rank;
+              core;
+              start = r.starts.(i);
+              finish = r.finishes.(i);
+              depth = r.depths.(i);
+              seq = r.seqs.(i);
+            }
+            :: !out
+        done)
+      scopes;
+    List.sort
+      (fun (a : Obs.span) (b : Obs.span) ->
+        let c = compare a.start b.start in
+        if c <> 0 then c
+        else
+          let c = compare (a.rank, a.core) (b.rank, b.core) in
+          if c <> 0 then c else compare a.seq b.seq)
+      (List.rev !out)
+
+  let incr t ~rank ~core ~subsystem ~name ~by =
+    if t.enabled then begin
+      let key = { Obs.subsystem; name; rank; core } in
+      match Hashtbl.find_opt t.counters key with
+      | Some r -> r := !r + by
+      | None -> Hashtbl.add t.counters key (ref by)
+    end
+
+  let counter_value t ~rank ~core ~subsystem ~name =
+    match Hashtbl.find_opt t.counters { Obs.subsystem; name; rank; core } with
+    | Some r -> !r
+    | None -> 0
+
+  let counter_total t ~subsystem ~name =
+    Hashtbl.fold
+      (fun (k : Obs.key) r acc ->
+        if k.subsystem = subsystem && k.name = name then acc + !r else acc)
+      t.counters 0
+
+  let compare_key (a : Obs.key) (b : Obs.key) =
+    let c = compare a.subsystem b.subsystem in
+    if c <> 0 then c
+    else
+      let c = compare a.name b.name in
+      if c <> 0 then c
+      else
+        let c = compare a.rank b.rank in
+        if c <> 0 then c else compare a.core b.core
+
+  let snapshot t =
+    Hashtbl.fold (fun key r acc -> { Obs.key; value = Obs.Counter !r } :: acc) t.counters []
+    |> List.sort (fun (a : Obs.metric) (b : Obs.metric) -> compare_key a.key b.key)
+
+  let capture t b =
+    let w_i v = Buffer.add_int64_le b (Int64.of_int v) in
+    let w_s s =
+      w_i (String.length s);
+      Buffer.add_string b s
+    in
+    Buffer.add_uint8 b (if t.enabled then 1 else 0);
+    w_i t.ring_capacity;
+    w_i t.next_handle;
+    w_i t.completed;
+    Buffer.add_int64_le b t.digest;
+    let sp = spans t in
+    w_i (List.length sp);
+    List.iter
+      (fun (s : Obs.span) ->
+        w_s s.cat;
+        w_s s.name;
+        w_i s.rank;
+        w_i s.core;
+        w_i s.start;
+        w_i s.finish;
+        w_i s.depth;
+        w_i s.seq)
+      sp;
+    let opens =
+      Hashtbl.fold (fun h o acc -> (h, o) :: acc) t.opens [] |> List.sort compare
+    in
+    w_i (List.length opens);
+    List.iter
+      (fun (h, o) ->
+        w_i h;
+        w_s o.o_cat;
+        w_s o.o_name;
+        w_i o.o_rank;
+        w_i o.o_core;
+        w_i o.o_start;
+        w_i o.o_depth)
+      opens;
+    let depths =
+      Hashtbl.fold (fun k d acc -> (k, !d) :: acc) t.depths [] |> List.sort compare
+    in
+    w_i (List.length depths);
+    List.iter
+      (fun ((rank, core), d) ->
+        w_i rank;
+        w_i core;
+        w_i d)
+      depths;
+    let ms = snapshot t in
+    w_i (List.length ms);
+    List.iter
+      (fun (m : Obs.metric) ->
+        w_s m.key.subsystem;
+        w_s m.key.name;
+        w_i m.key.rank;
+        w_i m.key.core;
+        match m.value with
+        | Counter v ->
+          Buffer.add_uint8 b 0;
+          w_i v
+        | Gauge _ | Timer _ -> assert false)
+      ms
+
+  let reset t =
+    Hashtbl.reset t.rings;
+    Hashtbl.reset t.opens;
+    Hashtbl.reset t.depths;
+    Hashtbl.reset t.counters;
+    t.next_handle <- 0;
+    t.digest <- Fnv.empty;
+    t.completed <- 0
+end
+
+type span_op =
+  | Begin of string * int * int * int  (* name, rank, core, now *)
+  | End of int * int  (* k-th handle begun so far (mod count), now *)
+  | Record of string * int * int * int * int
+  | Abandon of int
+  | End_null
+  | Incr of string * string * int * int * int  (* subsystem, name, rank, core, by *)
+  | Enable of bool
+  | Reset
+
+let pp_span_op = function
+  | Begin (n, r, c, now) -> Printf.sprintf "begin %s r%d c%d @%d" n r c now
+  | End (k, now) -> Printf.sprintf "end #%d @%d" k now
+  | Record (n, r, c, a, b) -> Printf.sprintf "record %s r%d c%d %d..%d" n r c a b
+  | Abandon k -> Printf.sprintf "abandon #%d" k
+  | End_null -> "end null"
+  | Incr (s, n, r, c, by) -> Printf.sprintf "incr %s.%s r%d c%d +%d" s n r c by
+  | Enable b -> Printf.sprintf "enable %b" b
+  | Reset -> "reset"
+
+let arb_span_case =
+  let open QCheck.Gen in
+  let scope = pair (int_range (-1) 2) (int_range (-1) 1) in
+  let name = oneofl [ "a"; "b"; "pwrite" ] in
+  let gen_op =
+    frequency
+      [
+        (6, map3 (fun n (r, c) now -> Begin (n, r, c, now)) name scope (int_bound 50));
+        (6, map2 (fun k now -> End (k, now)) (int_bound 100) (int_bound 60));
+        ( 6,
+          map3
+            (fun n (r, c) (a, d) -> Record (n, r, c, a, a + d))
+            name scope
+            (pair (int_bound 50) (int_bound 10)) );
+        (2, map (fun k -> Abandon k) (int_bound 100));
+        (1, return End_null);
+        ( 2,
+          map3
+            (fun (s, n) (r, c) by -> Incr (s, n, r, c, by))
+            (oneofl [ ("obs", "dropped_spans"); ("syscall", "pwrite") ])
+            scope (int_range 1 3) );
+        (1, map (fun b -> Enable b) (frequency [ (1, return false); (3, return true) ]));
+        (1, return Reset);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "ring_capacity %d: [%s]" cap (String.concat "; " (List.map pp_span_op ops)))
+    ~shrink:QCheck.Shrink.(pair nil list)
+    (pair (int_range 2 4) (list_size (int_range 0 80) gen_op))
+
+let span_model_agrees (cap, ops) =
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+  let o = Obs.create ~ring_capacity:cap ~enabled:true () in
+  let m = Span_model.create ~ring_capacity:cap in
+  (* handles begun so far, newest first, as (collector, model) pairs *)
+  let handles = ref [] in
+  let nth k =
+    match !handles with
+    | [] -> None
+    | hs -> Some (List.nth hs (k mod List.length hs))
+  in
+  let scopes = [ -1; 0; 1; 2 ] in
+  List.iter
+    (fun op ->
+      (match op with
+      | Begin (name, rank, core, now) ->
+        let h = Obs.span_begin o ~cat:"t" ~name ~rank ~core ~now in
+        let mh = Span_model.span_begin m ~cat:"t" ~name ~rank ~core ~now in
+        if (h = Obs.null_handle) <> (mh = Span_model.null_handle) then fail "begin: null handle";
+        if h <> Obs.null_handle then handles := (h, mh) :: !handles
+      | End (k, now) -> (
+        match nth k with
+        | Some (h, mh) ->
+          Obs.span_end o h ~now;
+          Span_model.span_end m mh ~now
+        | None -> ())
+      | Record (name, rank, core, start, finish) ->
+        Obs.span_record o ~cat:"t" ~name ~rank ~core ~start ~finish;
+        Span_model.span_record m ~cat:"t" ~name ~rank ~core ~start ~finish
+      | Abandon k -> (
+        match nth k with
+        | Some (h, mh) ->
+          Obs.abandon_open o h;
+          Span_model.abandon_open m mh
+        | None -> ())
+      | End_null -> Obs.span_end o Obs.null_handle ~now:0
+      | Incr (subsystem, name, rank, core, by) ->
+        Obs.incr o ~rank ~core ~subsystem ~name ~by ();
+        Span_model.incr m ~rank ~core ~subsystem ~name ~by
+      | Enable b ->
+        Obs.set_enabled o b;
+        m.enabled <- b
+      | Reset ->
+        Obs.reset o;
+        Span_model.reset m;
+        handles := []);
+      if Obs.span_count o <> m.completed then fail "span_count";
+      if Obs.dropped_spans o <> Span_model.dropped_spans m then fail "dropped_spans";
+      if Obs.open_count o <> Hashtbl.length m.opens then fail "open_count";
+      if not (Fnv.equal (Obs.digest o) m.digest) then fail "digest";
+      let subsystem = "obs" and name = "dropped_spans" in
+      if Obs.counter_total o ~subsystem ~name <> Span_model.counter_total m ~subsystem ~name
+      then fail "dropped_spans counter total";
+      List.iter
+        (fun rank ->
+          List.iter
+            (fun core ->
+              if
+                Obs.counter_value o ~rank ~core ~subsystem ~name ()
+                <> Span_model.counter_value m ~rank ~core ~subsystem ~name
+              then fail "dropped_spans counter r%d c%d" rank core)
+            scopes)
+        scopes)
+    ops;
+  if Obs.spans o <> Span_model.spans m then fail "spans";
+  if Obs.snapshot o <> Span_model.snapshot m then fail "snapshot";
+  let cap f =
+    let b = Buffer.create 256 in
+    f b;
+    Buffer.contents b
+  in
+  if cap (Obs.capture o) <> cap (Span_model.capture m) then fail "capture bytes";
+  true
+
+let prop_span_model =
+  QCheck.Test.make ~name:"span store agrees with the ring+depth table model" ~count:10_000
+    ~long_factor:10 arb_span_case span_model_agrees
+
 let suite =
   [
     Alcotest.test_case "span ring: wraparound" `Quick test_ring_wraparound;
@@ -484,4 +901,5 @@ let suite =
       test_reset_clears_state;
     Alcotest.test_case "query_perf syscall on CNK" `Quick test_perf_syscall_cnk;
     Alcotest.test_case "query_perf syscall on FWK" `Quick test_perf_syscall_fwk;
+    QCheck_alcotest.to_alcotest prop_span_model;
   ]

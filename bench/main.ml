@@ -948,6 +948,46 @@ let run_msg () =
     (Bg_msgbench.Msgbench.digest results)
 
 (* ------------------------------------------------------------------ *)
+(* Per-operation cost: ns and words per call of one library operation,
+   outside any simulation. [setup] builds a fresh fixture for each
+   repeat; [run] performs [ops] operations on it. One warm-up run, then
+   [repeats] timed ones: ns/op is the median repeat, words/op is exact. *)
+
+let per_op ~ops ~repeats ~name ~setup ~run =
+  (* only [Gc.minor_words] counts the minor heap exactly *)
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let time_once () =
+    let c = setup () in
+    Gc.full_major ();
+    let w0 = allocated () in
+    let t0 = Unix.gettimeofday () in
+    run c;
+    let dt = Unix.gettimeofday () -. t0 in
+    (dt, allocated () -. w0)
+  in
+  ignore (time_once ());
+  let runs = List.init repeats (fun _ -> time_once ()) in
+  let ns = List.sort compare (List.map (fun (dt, _) -> dt *. 1e9 /. float_of_int ops) runs) in
+  let median = List.nth ns (repeats / 2) in
+  let spread = List.nth ns (repeats - 1) -. List.hd ns in
+  let words = snd (List.hd runs) /. float_of_int ops in
+  Printf.printf "  %-26s %7d ops  %8.1f ns/op (spread %.1f)  %6.1f words/op\n%!" name ops
+    median spread words;
+  (name, ops, repeats, median, spread, words)
+
+let ops_json cells =
+  String.concat ","
+    (List.map
+       (fun (name, ops, repeats, ns, spread, words) ->
+         Printf.sprintf
+           "{\"name\":\"%s\",\"ops\":%d,\"repeats\":%d,\"ns_per_op\":%.1f,\"ns_spread\":%.1f,\"words_per_op\":%.2f}"
+           name ops repeats ns spread words)
+       cells)
+
+(* ------------------------------------------------------------------ *)
 (* Observability overhead: the zero-cost-by-default claim, measured *)
 
 let run_obs () =
@@ -990,35 +1030,9 @@ let run_obs () =
       [ ("off", false, false); ("spans", true, false); ("spans+causal", true, true) ]
   in
   (* Per-operation collector cost: the budget each span or causal node
-     spends, outside any simulation. Each cell runs [ops] operations
-     over 16 scopes on a fresh collector, once to warm up and then
-     [repeats] times; ns/op is the median repeat, words/op is exact. *)
+     spends. Each cell runs [ops] operations over 16 scopes on a fresh
+     collector. *)
   let ops = 160_000 and repeats = 5 in
-  let per_op ~name ~setup ~run =
-    (* only [Gc.minor_words] counts the minor heap exactly *)
-    let allocated () =
-      let _, promoted, major = Gc.counters () in
-      Gc.minor_words () +. major -. promoted
-    in
-    let time_once () =
-      let c = setup () in
-      Gc.full_major ();
-      let w0 = allocated () in
-      let t0 = Unix.gettimeofday () in
-      run c;
-      let dt = Unix.gettimeofday () -. t0 in
-      (dt, allocated () -. w0)
-    in
-    ignore (time_once ());
-    let runs = List.init repeats (fun _ -> time_once ()) in
-    let ns = List.sort compare (List.map (fun (dt, _) -> dt *. 1e9 /. float_of_int ops) runs) in
-    let median = List.nth ns (repeats / 2) in
-    let spread = List.nth ns (repeats - 1) -. List.hd ns in
-    let words = snd (List.hd runs) /. float_of_int ops in
-    Printf.printf "  %-20s %7d ops  %8.1f ns/op (spread %.1f)  %6.1f words/op\n%!" name ops
-      median spread words;
-    (name, median, spread, words)
-  in
   let names = [| "pwrite.entry"; "pwrite.exit"; "service.pwrite"; "reply.deliver" |] in
   let mint g =
     for i = 0 to ops - 1 do
@@ -1045,9 +1059,9 @@ let run_obs () =
   let causal () = Bg_obs.Causal.create ~max_nodes:ops ~enabled:true () in
   let obs () = Bg_obs.Obs.create ~enabled:true () in
   let op_cells =
-    let c1 = per_op ~name:"causal.mint" ~setup:causal ~run:mint in
-    let c2 = per_op ~name:"obs.span_record" ~setup:obs ~run:record in
-    let c3 = per_op ~name:"obs.span_begin+end" ~setup:obs ~run:begin_end in
+    let c1 = per_op ~ops ~repeats ~name:"causal.mint" ~setup:causal ~run:mint in
+    let c2 = per_op ~ops ~repeats ~name:"obs.span_record" ~setup:obs ~run:record in
+    let c3 = per_op ~ops ~repeats ~name:"obs.span_begin+end" ~setup:obs ~run:begin_end in
     [ c1; c2; c3 ]
   in
   let buf = Buffer.create 512 in
@@ -1061,14 +1075,7 @@ let run_obs () =
            name events wall eps spans_n causal_n))
     cells;
   Buffer.add_string buf "],\"ops\":[";
-  List.iteri
-    (fun i (name, ns, spread, words) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"ops\":%d,\"repeats\":%d,\"ns_per_op\":%.1f,\"ns_spread\":%.1f,\"words_per_op\":%.2f}"
-           name ops repeats ns spread words))
-    op_cells;
+  Buffer.add_string buf (ops_json op_cells);
   Buffer.add_string buf "]}";
   let oc = open_out "BENCH_obs.json" in
   output_string oc (Buffer.contents buf);
@@ -1372,6 +1379,68 @@ let run_jobsched () =
     (Strat.kind_name kind, slo, jobs_per_s, wall)
   in
   let cells = List.map cell Strat.all_kinds in
+  (* Per-operation cost of the placement path and of a random draw. The
+     placer cells ask for 4-, 8- and 16-node boxes, in turn, on a 4x4x4
+     partition half taken by four 2x2x2 allocations in a checkerboard,
+     whose torus carries seeded traffic, part of it still in flight. *)
+  let module Part = Bg_control.Partition in
+  let module Torus = Bg_hw.Torus in
+  let half_full () =
+    let p = Part.create ~dims:(4, 4, 4) in
+    List.iter
+      (fun base -> ignore (Part.allocate ~base p ~shape:(2, 2, 2)))
+      [ (0, 0, 0); (2, 2, 0); (2, 0, 2); (0, 2, 2) ];
+    p
+  in
+  let busy_torus () =
+    let sim = Bg_engine.Sim.create () in
+    let torus = Torus.create sim ~dims:(4, 4, 4) () in
+    let rng = Bg_engine.Rng.create 2L in
+    for _ = 1 to 200 do
+      Torus.transfer torus ~src:(Bg_engine.Rng.int rng 64) ~dst:(Bg_engine.Rng.int rng 64)
+        ~bytes:(1 + Bg_engine.Rng.int rng 65536) ()
+    done;
+    ignore (Bg_engine.Sim.run ~until:200_000 sim);
+    torus
+  in
+  let sizes = [| 4; 8; 16 |] in
+  let place ~comm (torus, p) =
+    for i = 0 to 19_999 do
+      ignore (Bg_sched.Placer.place torus p ~nodes:sizes.(i mod 3) ~comm)
+    done
+  in
+  let alloc_release p =
+    for _ = 1 to 200_000 do
+      match Part.allocate p ~shape:(2, 2, 2) with
+      | Ok a -> Part.release p a.Part.id
+      | Error e -> failwith e
+    done
+  in
+  let draw rng =
+    for _ = 1 to 1_000_000 do
+      ignore (Bg_engine.Rng.int rng 1000)
+    done
+  in
+  let fixture () = (busy_torus (), half_full ()) in
+  let repeats = 5 in
+  let op_cells =
+    let c1 =
+      per_op ~ops:20_000 ~repeats ~name:"placer.place comm" ~setup:fixture ~run:(place ~comm:true)
+    in
+    let c2 =
+      per_op ~ops:20_000 ~repeats ~name:"placer.place compute" ~setup:fixture ~run:(place ~comm:false)
+    in
+    let c3 =
+      per_op ~ops:200_000 ~repeats ~name:"partition.allocate+release" ~setup:half_full
+        ~run:alloc_release
+    in
+    let c4 =
+      per_op ~ops:1_000_000 ~repeats ~name:"rng.int"
+        ~setup:(fun () -> Bg_engine.Rng.create 3L)
+        ~run:draw
+    in
+    [ c1; c2; c3; c4 ]
+  in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     "{\"experiment\":\"jobsched\",\"workload\":\"8 tenants x 8 jobs, 64 nodes\",\"cells\":[";
@@ -1385,6 +1454,8 @@ let run_jobsched () =
            slo.Slo.utilization_milli slo.Slo.backfilled slo.Slo.gangs_started
            jobs_per_s wall))
     cells;
+  Buffer.add_string buf "],\"ops\":[";
+  Buffer.add_string buf (ops_json op_cells);
   Buffer.add_string buf "]}";
   let oc = open_out "BENCH_sched.json" in
   output_string oc (Buffer.contents buf);

@@ -28,18 +28,25 @@ let create ~dims =
     next_id = 1;
   }
 
+let dims t = t.dims
+
 let rank_of t (cx, cy, cz) =
   let x, y, _ = t.dims in
   cx + (cy * x) + (cz * x * y)
 
+(* Member ranks of a box, ascending: the z-major walk (x fastest) visits
+   them in rank order already, so nothing needs sorting. Built only for
+   a box being committed or asked for by name, never to probe one. *)
 let box_ranks t (bx, by, bz) (sx, sy, sz) =
-  List.concat_map
-    (fun dz ->
-      List.concat_map
-        (fun dy -> List.init sx (fun dx -> rank_of t (bx + dx, by + dy, bz + dz)))
-        (List.init sy Fun.id))
-    (List.init sz Fun.id)
-  |> List.sort compare
+  let acc = ref [] in
+  for cz = bz + sz - 1 downto bz do
+    for cy = by + sy - 1 downto by do
+      for cx = bx + sx - 1 downto bx do
+        acc := rank_of t (cx, cy, cz) :: !acc
+      done
+    done
+  done;
+  !acc
 
 let rank_free t r = (not t.occupied.(r)) && (not t.down.(r)) && not t.spare.(r)
 
@@ -47,28 +54,94 @@ let box_in_bounds t (bx, by, bz) (sx, sy, sz) =
   let x, y, z = t.dims in
   bx >= 0 && by >= 0 && bz >= 0 && bx + sx <= x && by + sy <= y && bz + sz <= z
 
+(* Is every member of the in-bounds box at (bx, by, bz) free? Walks the
+   coordinates in rank order and stops at the first busy rank. Plain
+   loops over local refs, so a probe allocates nothing. *)
+let box_free t bx by bz sx sy sz =
+  let x, y, _ = t.dims in
+  let free = ref true and dz = ref 0 in
+  while !free && !dz < sz do
+    let dy = ref 0 in
+    while !free && !dy < sy do
+      let row = bx + ((by + !dy) * x) + ((bz + !dz) * x * y) in
+      let dx = ref 0 in
+      while !free && !dx < sx do
+        if not (rank_free t (row + !dx)) then free := false;
+        incr dx
+      done;
+      incr dy
+    done;
+    incr dz
+  done;
+  !free
+
+(* A negative extent can pass [box_in_bounds]; it names no box. The
+   probes look at z, then y, then x, and a zero extent found first makes
+   the box empty, so only a negative extent reached before any zero one
+   is rejected. *)
+let check_extents fn (sx, sy, sz) =
+  if sz < 0 || (sz > 0 && (sy < 0 || (sy > 0 && sx < 0))) then invalid_arg fn
+
 let free_box t ~base ~shape =
-  box_in_bounds t base shape && List.for_all (rank_free t) (box_ranks t base shape)
+  box_in_bounds t base shape
+  && begin
+    check_extents "Partition.free_box: negative extent" shape;
+    let bx, by, bz = base and sx, sy, sz = shape in
+    box_free t bx by bz sx sy sz
+  end
 
 let ranks_of_box t ~base ~shape =
-  if not (box_in_bounds t base shape) then invalid_arg "Partition.ranks_of_box"
-  else box_ranks t base shape
+  if not (box_in_bounds t base shape) then invalid_arg "Partition.ranks_of_box";
+  check_extents "Partition.ranks_of_box: negative extent" shape;
+  box_ranks t base shape
+
+let shape_fits t (sx, sy, sz) =
+  let x, y, z = t.dims in
+  sx > 0 && sy > 0 && sz > 0 && sx <= x && sy <= y && sz <= z
 
 let free_bases t ~shape =
-  let x, y, z = t.dims in
-  let sx, sy, sz = shape in
-  if sx <= 0 || sy <= 0 || sz <= 0 || sx > x || sy > y || sz > z then []
+  if not (shape_fits t shape) then []
   else begin
+    let x, y, z = t.dims in
+    let sx, sy, sz = shape in
     let acc = ref [] in
     for bz = z - sz downto 0 do
       for by = y - sy downto 0 do
         for bx = x - sx downto 0 do
-          if free_box t ~base:(bx, by, bz) ~shape then acc := (bx, by, bz) :: !acc
+          if box_free t bx by bz sx sy sz then acc := (bx, by, bz) :: !acc
         done
       done
     done;
     !acc
   end
+
+(* The first free base in z-major (rank) order, as the rank of its
+   corner, or -1. The scan allocates nothing. *)
+let first_free_rank t (sx, sy, sz) =
+  let x, y, z = t.dims in
+  let found = ref (-1) and bz = ref 0 in
+  while !found < 0 && !bz <= z - sz do
+    let by = ref 0 in
+    while !found < 0 && !by <= y - sy do
+      let bx = ref 0 in
+      while !found < 0 && !bx <= x - sx do
+        if box_free t !bx !by !bz sx sy sz then found := !bx + (!by * x) + (!bz * x * y);
+        incr bx
+      done;
+      incr by
+    done;
+    incr bz
+  done;
+  !found
+
+let first_free_base t ~shape =
+  if not (shape_fits t shape) then None
+  else
+    match first_free_rank t shape with
+    | -1 -> None
+    | r ->
+      let x, y, _ = t.dims in
+      Some (r mod x, r / x mod y, r / (x * y))
 
 let commit t base shape ranks =
   List.iter (fun r -> t.occupied.(r) <- true) ranks;
@@ -89,28 +162,11 @@ let allocate ?base t ~shape =
          chose the box; allocate exactly there or fail *)
       if free_box t ~base:b ~shape then commit t b shape (box_ranks t b shape)
       else Error "requested base not free"
-    | None -> begin
+    | None -> (
       (* first fit over base coordinates, z-major like rank order *)
-      let found = ref None in
-      (try
-         for bz = 0 to z - sz do
-           for by = 0 to y - sy do
-             for bx = 0 to x - sx do
-               if !found = None then begin
-                 let ranks = box_ranks t (bx, by, bz) shape in
-                 if List.for_all (rank_free t) ranks then begin
-                   found := Some ((bx, by, bz), ranks);
-                   raise Exit
-                 end
-               end
-             done
-           done
-         done
-       with Exit -> ());
-      match !found with
+      match first_free_base t ~shape with
       | None -> Error "no free partition of that shape"
-      | Some (base, ranks) -> commit t base shape ranks
-    end
+      | Some base -> commit t base shape (box_ranks t base shape))
 
 let release t id =
   match List.find_opt (fun a -> a.id = id) t.live with

@@ -17,6 +17,8 @@ type t
 
 val create : dims:int * int * int -> t
 
+val dims : t -> int * int * int
+
 val allocate :
   ?base:int * int * int -> t -> shape:int * int * int -> (allocation, string) result
 (** First-fit placement of an axis-aligned box ([shape] must fit within
@@ -27,16 +29,23 @@ val allocate :
 
 val free_box : t -> base:int * int * int -> shape:int * int * int -> bool
 (** Is the axis-aligned box at [base] entirely free (in bounds, no
-    member occupied, down, or held as spare)? *)
+    member occupied, down, or held as spare)? Raises [Invalid_argument]
+    for an in-bounds base with a negative extent, unless an extent
+    before it in z, y, x order is zero (an empty box). *)
 
 val free_bases : t -> shape:int * int * int -> (int * int * int) list
 (** Every base coordinate where [shape] could be allocated right now,
     in z-major (rank) order. Empty for impossible shapes. *)
 
+val first_free_base : t -> shape:int * int * int -> (int * int * int) option
+(** The head of {!free_bases}, found without building the list: the
+    base {!allocate} picks when given no [?base]. *)
+
 val ranks_of_box : t -> base:int * int * int -> shape:int * int * int -> int list
 (** Member ranks of the box, ascending — for scoring a candidate
     placement before committing to it. Raises [Invalid_argument] when
-    the box exceeds the machine. *)
+    the box exceeds the machine or has a negative extent (as for
+    {!free_box}). *)
 
 val release : t -> int -> unit
 (** Free an allocation by id; unknown ids raise [Invalid_argument]. *)

@@ -1,17 +1,24 @@
-type t = { mutable state : int64; seed : int64 }
+(* The SplitMix64 position lives unboxed in 8 bytes: a [mutable int64]
+   field would box a fresh int64 on every draw. *)
+type t = { st : Bytes.t; seed : int64 }
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed; seed }
-let state t = t.state
+let create seed =
+  let st = Bytes.create 8 in
+  Bytes.set_int64_ne st 0 seed;
+  { st; seed }
+
+let state t = Bytes.get_int64_ne t.st 0
 let seed t = t.seed
 
-let next_int64 t =
-  t.state <- Int64.add t.state 0x9e3779b97f4a7c15L;
-  mix t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t.st 0) 0x9e3779b97f4a7c15L in
+  Bytes.set_int64_ne t.st 0 s;
+  mix s
 
 let seed_of_string s = Fnv.add_string Fnv.empty s
 

@@ -26,21 +26,49 @@ let canonical_shape ~dims ~nodes =
 
 let in_flight_penalty = 10_000
 
+let rank_score torus rank =
+  let acc = ref 0 in
+  for dir = 0 to 5 do
+    acc :=
+      !acc
+      + Torus.link_busy_cycles torus ~rank ~dir
+      + (in_flight_penalty * Torus.link_in_flight torus ~rank ~dir)
+  done;
+  !acc
+
 let congestion_score torus partition ~base ~shape =
-  let ranks = Partition.ranks_of_box partition ~base ~shape in
   List.fold_left
-    (fun acc rank ->
-      let per_rank = ref 0 in
-      for dir = 0 to 5 do
-        per_rank :=
-          !per_rank
-          + Torus.link_busy_cycles torus ~rank ~dir
-          + (in_flight_penalty * Torus.link_in_flight torus ~rank ~dir)
-      done;
-      acc + !per_rank)
-    0 ranks
+    (fun acc rank -> acc + rank_score torus rank)
+    0
+    (Partition.ranks_of_box partition ~base ~shape)
+
+(* [congestion_score] of an in-bounds box, walked coordinate by
+   coordinate in rank order instead of through a rank list: what
+   [place] runs for every free base. *)
+let box_score torus x y bx by bz sx sy sz =
+  let acc = ref 0 in
+  for cz = bz to bz + sz - 1 do
+    for cy = by to by + sy - 1 do
+      for cx = bx to bx + sx - 1 do
+        acc := !acc + rank_score torus (cx + (cy * x) + (cz * x * y))
+      done
+    done
+  done;
+  !acc
 
 type placement = { shape : int * int * int; base : (int * int * int) option }
+
+(* The least-congested base of a rank-ordered list, if any; ties keep
+   the earlier (lower) base. *)
+let quietest_base torus x y (sx, sy, sz) bases =
+  let score (bx, by, bz) = box_score torus x y bx by bz sx sy sz in
+  let rec go best best_score = function
+    | [] -> best
+    | base :: rest ->
+      let s = score base in
+      if s < best_score then go base s rest else go best best_score rest
+  in
+  match bases with [] -> None | b :: rest -> Some (go b (score b) rest)
 
 let place torus partition ~nodes ~comm =
   let dims = Torus.dims torus in
@@ -50,29 +78,19 @@ let place torus partition ~nodes ~comm =
        allocator's own first-fit base *)
     List.find_map
       (fun shape ->
-        match Partition.free_bases partition ~shape with
-        | [] -> None
-        | _ -> Some { shape; base = None })
+        match Partition.first_free_base partition ~shape with
+        | None -> None
+        | Some _ -> Some { shape; base = None })
       shapes
-  else
+  else begin
     (* communication-heavy: most compact shape with a free box, scored
        base. free_bases is rank-ordered, so min-score ties resolve to
        the lowest base deterministically. *)
+    let x, y, _ = Partition.dims partition in
     List.find_map
       (fun shape ->
-        match Partition.free_bases partition ~shape with
-        | [] -> None
-        | bases ->
-          let best =
-            List.fold_left
-              (fun acc base ->
-                let score = congestion_score torus partition ~base ~shape in
-                match acc with
-                | Some (_, best_score) when best_score <= score -> acc
-                | _ -> Some (base, score))
-              None bases
-          in
-          (match best with
-          | Some (base, _) -> Some { shape; base = Some base }
-          | None -> None))
+        match quietest_base torus x y shape (Partition.free_bases partition ~shape) with
+        | None -> None
+        | Some base -> Some { shape; base = Some base })
       shapes
+  end

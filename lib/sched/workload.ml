@@ -110,9 +110,14 @@ let generate ~seed tenants =
   validate tenants;
   let root = Rng.create seed in
   let all = List.concat (List.mapi (fun ix t -> tenant_specs ~root ~ix t) tenants) in
-  List.stable_sort
-    (fun a b -> compare (a.arrival, a.tenant, a.seq) (b.arrival, b.tenant, b.seq))
-    all
+  (* field by field: [compare] on tuples would build two tuples per
+     comparison *)
+  let by_arrival a b =
+    match Int.compare a.arrival b.arrival with
+    | 0 -> ( match Int.compare a.tenant b.tenant with 0 -> Int.compare a.seq b.seq | c -> c)
+    | c -> c
+  in
+  List.stable_sort by_arrival all
 
 let total_jobs tenants = List.fold_left (fun acc t -> acc + t.jobs) 0 tenants
 

@@ -66,6 +66,140 @@ let prop_partition_never_double_books =
       let all = List.concat_map (fun a -> a.Ctl.Partition.ranks) !live in
       List.length all = List.length (List.sort_uniq compare all))
 
+(* Model suite: [Partition] against the list-based allocator it replaced
+   (Ref_partition.Partition), under random allocations (first-fit and
+   placement-directed), releases, down and spare marks, substitutions
+   and every probe, on machines up to 4x4x4. Every result must agree,
+   and so must the [capture] bytes after each operation. *)
+
+module Ref = Ref_partition.Partition
+
+type part_op =
+  | Alloc of (int * int * int) * (int * int * int) option
+  | Release of int  (** index into the live list; negative: an unknown id *)
+  | Down of int * bool
+  | Spare of int * bool
+  | Substitute
+  | Free_box of (int * int * int) * (int * int * int)
+  | Free_bases of (int * int * int)
+  | First_free of (int * int * int)
+  | Ranks_of_box of (int * int * int) * (int * int * int)
+  | Free_nodes
+
+let show_triple (a, b, c) = Printf.sprintf "(%d,%d,%d)" a b c
+
+let show_part_op = function
+  | Alloc (s, None) -> "alloc " ^ show_triple s
+  | Alloc (s, Some b) -> Printf.sprintf "alloc %s at %s" (show_triple s) (show_triple b)
+  | Release i -> Printf.sprintf "release #%d" i
+  | Down (r, f) -> Printf.sprintf "down %d %b" r f
+  | Spare (r, f) -> Printf.sprintf "spare %d %b" r f
+  | Substitute -> "substitute"
+  | Free_box (b, s) -> Printf.sprintf "free_box %s %s" (show_triple b) (show_triple s)
+  | Free_bases s -> "free_bases " ^ show_triple s
+  | First_free s -> "first_free_base " ^ show_triple s
+  | Ranks_of_box (b, s) -> Printf.sprintf "ranks_of_box %s %s" (show_triple b) (show_triple s)
+  | Free_nodes -> "free_nodes"
+
+let gen_part_case =
+  let open QCheck.Gen in
+  let* dims = triple (int_range 1 4) (int_range 1 4) (int_range 1 4) in
+  let dx, dy, dz = dims in
+  let n = dx * dy * dz in
+  (* mostly shapes that fit, sometimes empty or one too long *)
+  let extent d = frequency [ (8, int_range 1 d); (1, int_range (-1) 0); (1, return (d + 1)) ] in
+  let shape = triple (extent dx) (extent dy) (extent dz) in
+  let base = triple (int_range (-1) dx) (int_range (-1) dy) (int_range (-1) dz) in
+  let rank = int_range (-1) n in
+  let op =
+    frequency
+      [
+        (6, map (fun s -> Alloc (s, None)) shape);
+        (3, map2 (fun s b -> Alloc (s, Some b)) shape base);
+        (4, map (fun i -> Release i) (int_range (-1) 6));
+        (2, map2 (fun r f -> Down (r, f)) rank bool);
+        (2, map2 (fun r f -> Spare (r, f)) rank bool);
+        (1, return Substitute);
+        (2, map2 (fun b s -> Free_box (b, s)) base shape);
+        (2, map (fun s -> Free_bases s) shape);
+        (2, map (fun s -> First_free s) shape);
+        (1, map2 (fun b s -> Ranks_of_box (b, s)) base shape);
+        (1, return Free_nodes);
+      ]
+  in
+  let* ops = list_size (int_range 1 40) op in
+  return (dims, ops)
+
+let arb_part_case =
+  QCheck.make gen_part_case ~print:(fun (dims, ops) ->
+      show_triple dims ^ ": " ^ String.concat "; " (List.map show_part_op ops))
+
+let partition_model_agrees (dims, ops) =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let p = Ctl.Partition.create ~dims and m = Ref.create ~dims in
+  let catch f = try Ok (f ()) with Invalid_argument msg -> Error msg in
+  (* the model's probes raise [List.init]'s message on a negative
+     extent; only the exception is the contract *)
+  let raises f = Result.map_error ignore (catch f) in
+  let agree what a b = if a <> b then fail "%s disagrees with the model" what in
+  let real_alloc r =
+    Result.map (fun (a : Ctl.Partition.allocation) -> (a.id, a.base, a.shape, a.ranks)) r
+  in
+  let model_alloc r = Result.map (fun (a : Ref.allocation) -> (a.id, a.base, a.shape, a.ranks)) r in
+  let cap f =
+    let b = Buffer.create 128 in
+    f b;
+    Buffer.contents b
+  in
+  let step op =
+    match op with
+    | Alloc (shape, base) ->
+      agree (show_part_op op)
+        (real_alloc (Ctl.Partition.allocate ?base p ~shape))
+        (model_alloc (Ref.allocate ?base m ~shape))
+    | Release i ->
+      let live = Ref.allocated m in
+      let id =
+        if i < 0 || live = [] then 1_000_000 else (List.nth live (i mod List.length live)).Ref.id
+      in
+      agree (show_part_op op) (catch (fun () -> Ctl.Partition.release p id))
+        (catch (fun () -> Ref.release m id))
+    | Down (rank, f) ->
+      agree (show_part_op op) (catch (fun () -> Ctl.Partition.set_down p ~rank f))
+        (catch (fun () -> Ref.set_down m ~rank f))
+    | Spare (rank, f) ->
+      agree (show_part_op op) (catch (fun () -> Ctl.Partition.set_spare p ~rank f))
+        (catch (fun () -> Ref.set_spare m ~rank f))
+    | Substitute ->
+      agree (show_part_op op) (Ctl.Partition.substitute p ~dead:0) (Ref.substitute m ~dead:0)
+    | Free_box (base, shape) ->
+      agree (show_part_op op)
+        (raises (fun () -> Ctl.Partition.free_box p ~base ~shape))
+        (raises (fun () -> Ref.free_box m ~base ~shape))
+    | Free_bases shape ->
+      agree (show_part_op op) (Ctl.Partition.free_bases p ~shape) (Ref.free_bases m ~shape)
+    | First_free shape ->
+      agree (show_part_op op)
+        (Ctl.Partition.first_free_base p ~shape)
+        (Ref.first_free_base m ~shape)
+    | Ranks_of_box (base, shape) ->
+      agree (show_part_op op)
+        (raises (fun () -> Ctl.Partition.ranks_of_box p ~base ~shape))
+        (raises (fun () -> Ref.ranks_of_box m ~base ~shape))
+    | Free_nodes -> agree (show_part_op op) (Ctl.Partition.free_nodes p) (Ref.free_nodes m)
+  in
+  List.iter
+    (fun op ->
+      step op;
+      if cap (Ctl.Partition.capture p) <> cap (Ref.capture m) then
+        fail "capture bytes differ after %s" (show_part_op op))
+    ops;
+  true
+
+let prop_partition_model =
+  QCheck.Test.make ~name:"partition agrees with the list-based model" ~count:10_000
+    ~long_factor:10 arb_part_case partition_model_agrees
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
 
@@ -396,4 +530,5 @@ let suite =
     Alcotest.test_case "scheduler: walltime kill" `Quick test_scheduler_walltime_kills_runaway;
     Alcotest.test_case "scheduler: deterministic" `Quick test_scheduler_deterministic;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_partition_never_double_books ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_partition_never_double_books; prop_partition_model ]

@@ -142,6 +142,55 @@ let test_rng_exponential_mean () =
   Alcotest.(check bool) "mean near 5" true
     (Float.abs (Stats.Online.mean acc -. 5.0) < 0.2)
 
+(* Known answers for the SplitMix64 stream, recorded from the boxed
+   [mutable int64] implementation that the unboxed state replaced. *)
+let test_rng_known_answers () =
+  let first8 seed =
+    let r = Rng.create seed in
+    Array.to_list (Array.init 8 (fun _ -> Rng.next_int64 r))
+  in
+  Alcotest.(check (list int64)) "seed 0"
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL; 0xf88bb8a8724c81ecL;
+      0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL; 0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ]
+    (first8 0L);
+  Alcotest.(check (list int64)) "seed 42"
+    [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L; 0x581ce1ff0e4ae394L;
+      0x09bc585a244823f2L; 0xde4431fa3c80db06L; 0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L ]
+    (first8 42L);
+  let r = Rng.create 7L in
+  Alcotest.(check int64) "state before any draw" 7L (Rng.state r);
+  let draws n f = Array.to_list (Array.init n (fun _ -> f ())) in
+  Alcotest.(check (list int)) "int 1000" [ 621; 951; 336; 50; 918; 76; 949; 295 ]
+    (draws 8 (fun () -> Rng.int r 1000));
+  Alcotest.(check int64) "state after 8 draws" 0xf1bbcdcbfa53e0afL (Rng.state r);
+  Alcotest.(check (list bool)) "bool" [ true; true; true; false; false; false; false; false ]
+    (draws 8 (fun () -> Rng.bool r));
+  Alcotest.(check int64) "state after 16 draws" 0xe3779b97f4a7c157L (Rng.state r);
+  Alcotest.(check (list (float 0.0))) "float 1.0"
+    [ 0x1.c25cba00d9a7ap-1; 0x1.4e31a83369cc8p-2; 0x1.3cfd601c99393p-1; 0x1.83bfb4f4bd646p-1 ]
+    (draws 4 (fun () -> Rng.float r 1.0));
+  Alcotest.(check int64) "state after 20 draws" 0x5c55827df1d1b1abL (Rng.state r);
+  Alcotest.(check int64) "seed kept" 7L (Rng.seed r)
+
+(* [int] and [bool] keep the stream position unboxed, so a draw
+   allocates nothing in native code. Bytecode boxes every int64, so the
+   count is only checked natively. *)
+let test_rng_draws_allocate_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let r = Rng.create 9L in
+    let words f =
+      let w0 = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. w0
+    in
+    (* the boxed float [w0] itself is counted; measure it alone *)
+    let empty = words (fun () -> ()) in
+    let ints = words (fun () -> for _ = 1 to 100_000 do ignore (Rng.int r 1000) done) in
+    let bools = words (fun () -> for _ = 1 to 100_000 do ignore (Rng.bool r) done) in
+    Alcotest.(check (float 0.0)) "words over 100,000 Rng.int" 0.0 (ints -. empty);
+    Alcotest.(check (float 0.0)) "words over 100,000 Rng.bool" 0.0 (bools -. empty)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Cycles *)
 
@@ -637,6 +686,9 @@ let suite =
     Alcotest.test_case "rng: float bounds" `Quick test_rng_float_bounds;
     Alcotest.test_case "rng: gaussian moments" `Quick test_rng_gaussian_moments;
     Alcotest.test_case "rng: exponential mean" `Quick test_rng_exponential_mean;
+    Alcotest.test_case "rng: known answers" `Quick test_rng_known_answers;
+    Alcotest.test_case "rng: int and bool draws allocate nothing" `Quick
+      test_rng_draws_allocate_nothing;
     Alcotest.test_case "cycles: conversions" `Quick test_cycles_roundtrip;
     Alcotest.test_case "cycles: pp units" `Quick test_cycles_pp_units;
     Alcotest.test_case "sim: max events" `Quick test_sim_max_events;

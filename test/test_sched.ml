@@ -181,6 +181,125 @@ let test_placer_scores_congestion () =
       | None -> "comm job got no scored base")
   | None -> Alcotest.fail "nothing placed"
 
+(* Reference test: [Placer.place] (both paths) and [congestion_score]
+   against the list-based placer over the list-based partition
+   (Ref_partition), on random occupancy, down and spare maps with random
+   torus traffic, some of it still in flight. *)
+
+module Ref = Ref_partition
+
+type placer_case = {
+  dims : int * int * int;
+  setup : ((int * int * int) * (int * int * int) option) list;  (** allocations *)
+  marks : (int * [ `Down | `Spare | `Release ]) list;
+  traffic : (int * int * int) list;  (** src, dst, bytes *)
+  until : int;  (** run the traffic this far, leaving some in flight *)
+  queries : (int * bool) list;  (** nodes, comm *)
+  scores : ((int * int * int) * (int * int * int)) list;  (** base, shape *)
+}
+
+let gen_placer_case =
+  let open QCheck.Gen in
+  let* dims = triple (int_range 1 4) (int_range 1 4) (int_range 1 4) in
+  let dx, dy, dz = dims in
+  let n = dx * dy * dz in
+  let shape = triple (int_range 1 dx) (int_range 1 dy) (int_range 1 dz) in
+  let base = triple (int_range 0 (dx - 1)) (int_range 0 (dy - 1)) (int_range 0 (dz - 1)) in
+  let* setup = list_size (int_range 0 6) (pair shape (opt base)) in
+  let* marks =
+    list_size (int_range 0 8)
+      (pair (int_range 0 (n - 1)) (oneofl [ `Down; `Spare; `Release ]))
+  in
+  let* traffic =
+    list_size (int_range 0 24)
+      (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 0 65536))
+  in
+  let* until = int_range 0 200_000 in
+  let* queries = list_size (int_range 1 8) (pair (int_range 1 (n + 1)) bool) in
+  let extent d = int_range (-1) (d + 1) in
+  let* scores =
+    list_size (int_range 1 6)
+      (pair
+         (triple (int_range (-1) dx) (int_range (-1) dy) (int_range (-1) dz))
+         (triple (extent dx) (extent dy) (extent dz)))
+  in
+  return { dims; setup; marks; traffic; until; queries; scores }
+
+let arb_placer_case =
+  let t3 (a, b, c) = Printf.sprintf "(%d,%d,%d)" a b c in
+  QCheck.make gen_placer_case ~print:(fun c ->
+      Printf.sprintf "dims %s, %d allocs, %d marks, %d transfers to %d, queries %s" (t3 c.dims)
+        (List.length c.setup) (List.length c.marks) (List.length c.traffic) c.until
+        (String.concat " "
+           (List.map (fun (n, comm) -> Printf.sprintf "%d%s" n (if comm then "c" else "")) c.queries)))
+
+let placer_matches_reference c =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let p = Ctl.Partition.create ~dims:c.dims and m = Ref.Partition.create ~dims:c.dims in
+  List.iter
+    (fun (shape, base) ->
+      ignore (Ctl.Partition.allocate ?base p ~shape);
+      ignore (Ref.Partition.allocate ?base m ~shape))
+    c.setup;
+  List.iter
+    (fun (rank, mark) ->
+      let both f g = match f () with () -> g () | exception Invalid_argument _ -> () in
+      match mark with
+      | `Down ->
+        both (fun () -> Ctl.Partition.set_down p ~rank true) (fun () ->
+            Ref.Partition.set_down m ~rank true)
+      | `Spare ->
+        both (fun () -> Ctl.Partition.set_spare p ~rank true) (fun () ->
+            Ref.Partition.set_spare m ~rank true)
+      | `Release -> (
+        match Ref.Partition.allocated m with
+        | [] -> ()
+        | live ->
+          let a = List.nth live (rank mod List.length live) in
+          Ctl.Partition.release p a.Ref.Partition.id;
+          Ref.Partition.release m a.Ref.Partition.id))
+    c.marks;
+  let sim = Sim.create () in
+  let torus = Bg_hw.Torus.create sim ~dims:c.dims () in
+  List.iter (fun (src, dst, bytes) -> Bg_hw.Torus.transfer torus ~src ~dst ~bytes ()) c.traffic;
+  ignore (Sim.run ~until:c.until sim);
+  List.iter
+    (fun (nodes, comm) ->
+      let got =
+        Option.map
+          (fun { Placer.shape; base } -> (shape, base))
+          (Placer.place torus p ~nodes ~comm)
+      in
+      if got <> Ref.Placer.place torus m ~nodes ~comm then
+        fail "place ~nodes:%d ~comm:%b disagrees with the reference" nodes comm)
+    c.queries;
+  let score f = match f () with s -> Some s | exception Invalid_argument _ -> None in
+  List.iter
+    (fun (base, shape) ->
+      let got = score (fun () -> Placer.congestion_score torus p ~base ~shape) in
+      if got <> score (fun () -> Ref.Placer.congestion_score torus m ~base ~shape) then
+        fail "congestion_score disagrees with the reference")
+    c.scores;
+  true
+
+let prop_placer_reference =
+  QCheck.Test.make ~name:"placer agrees with the list-based reference" ~count:1_000
+    ~long_factor:10 arb_placer_case placer_matches_reference
+
+let test_congestion_score_rejects_outside_box () =
+  let sim = Sim.create () in
+  let torus = Bg_hw.Torus.create sim ~dims:(4, 2, 1) () in
+  let p = Ctl.Partition.create ~dims:(4, 2, 1) in
+  let rejects ~base ~shape =
+    match Placer.congestion_score torus p ~base ~shape with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "past the x edge" true (rejects ~base:(3, 0, 0) ~shape:(2, 1, 1));
+  check_bool "negative base" true (rejects ~base:(0, -1, 0) ~shape:(1, 1, 1));
+  check_bool "negative extent" true (rejects ~base:(0, 0, 0) ~shape:(1, 1, -1));
+  check_int "quiet machine, whole box" 0 (Placer.congestion_score torus p ~base:(0, 0, 0) ~shape:(4, 2, 1))
+
 (* ------------------------------------------------------------------ *)
 (* Strategy invariants *)
 
@@ -440,6 +559,8 @@ let suite =
     ("jobq: iteration survives removal", `Quick, test_jobq_iter_safe_against_removal);
     ("placer: compact shapes first", `Quick, test_placer_compactness);
     ("placer: congestion steers placement", `Quick, test_placer_scores_congestion);
+    ("placer: congestion_score rejects a box outside the machine", `Quick,
+      test_congestion_score_rejects_outside_box);
     ("easy: head reservation never delayed", `Quick, test_easy_head_reservation);
     ("gang: all-or-none co-scheduling", `Quick, test_gang_all_or_none);
     ("fair: weighted shares within tolerance", `Quick, test_fair_share_weights);
@@ -448,4 +569,5 @@ let suite =
       test_duplicate_completions_idempotent );
     ("scheduler: scan visits stay linear", `Quick, test_scan_visits_stay_linear);
     ("service: same-seed SLO bill reproduces", `Quick, test_service_deterministic_slo);
+    QCheck_alcotest.to_alcotest prop_placer_reference;
   ]

@@ -29,6 +29,7 @@ type thread = {
   is_main : bool;
   mutable state : thread_state;
   mutable resume : (unit -> unit) option;
+  mutable services : Coro.services;  (* what its in-place operations call *)
   mutable clear_child_tid : int option;
   mutable pending_sigs : int list;
   mutable guard : (int * int) option;  (* DAC-watched range, (lo, hi) *)
@@ -108,7 +109,6 @@ let chip t = t.chip
 let booted t = t.booted
 let job_active t = t.job_active
 let on_job_complete t f = t.on_complete <- Some f
-let process_count t = Hashtbl.length t.procs
 let syscall_count t = t.syscalls
 let ipi_count t = t.ipis
 let faults t = List.rev t.faults
@@ -282,7 +282,7 @@ let create ?mapping_config machine ~rank ~ciod () =
 
 (* --- memory access through the static map --------------------------- *)
 
-exception Fault of string
+exception Fault = Kernel.Fault
 
 let translate t (th : thread) access va len =
   let core = Chip.core t.chip th.core_id in
@@ -334,20 +334,6 @@ let write_word t (th : thread) va v =
   let pa = translate t th Tlb.Store va 8 in
   Mmap_tracker.mark_dirty th.proc.tracker ~addr:va ~len:8;
   Memory.write_int64 (memory t) ~addr:pa (Int64.of_int v)
-
-(* --- DRAM refresh stretch -------------------------------------------- *)
-
-(* The residual noise floor: a consume spanning k refresh windows pays k
-   short stalls. Deterministic in absolute time. *)
-let refresh_stretch t start n =
-  let p = Chip.params t.chip in
-  let interval = p.Params.dram_refresh_interval_cycles in
-  let stall = p.Params.dram_refresh_stall_cycles in
-  if interval <= 0 then n
-  else begin
-    let k = ((start + n) / interval) - (start / interval) in
-    n + (k * stall)
-  end
 
 (* --- guard pages ------------------------------------------------------ *)
 
@@ -561,6 +547,24 @@ let deliver_signals t (th : thread) =
         false)
     pending
 
+(* In-place services. A guard hit suspends the thread: SIGSEGV delivery runs in the driver. *)
+let ops =
+  Kernel.ops ~read_word ~write_word
+    ~clock:(fun t _ -> Sim.now (sim t))
+    ~load:(fun t th addr len ->
+      let pa = translate t th Tlb.Load addr len in
+      Cache.access (Chip.l2 t.chip) pa;
+      Memory.read (memory t) ~addr:pa ~len)
+    ~store:(fun t th addr data ->
+      match Dac.check_store (dac_of t th) ~addr with
+      | Some _ -> Coro.trap (Coro.Guard_hit addr)
+      | None ->
+        let len = Bytes.length data in
+        let pa = translate t th Tlb.Store addr len in
+        Cache.access (Chip.l2 t.chip) pa;
+        Mmap_tracker.mark_dirty th.proc.tracker ~addr ~len;
+        Memory.write (memory t) ~addr:pa data)
+
 (* --- the step driver --------------------------------------------------- *)
 
 let rec step_thread t (th : thread) (s : Coro.step) =
@@ -573,23 +577,16 @@ let rec step_thread t (th : thread) (s : Coro.step) =
       ras t Machine.Ras_error
         (Printf.sprintf "tid %d crashed: %s" th.tid (Printexc.to_string e));
       thread_exit t th 1
-    | Coro.Rdtsc k -> step_thread t th (k (Sim.now (sim t)))
     | Coro.Yield k ->
-      th.resume <- Some (fun () -> step_thread t th (k ()));
-      let core = t.cores.(th.core_id) in
-      (match core.current with
-      | Some cur when cur.tid = th.tid -> core.current <- None
-      | _ -> ());
-      Queue.push th core.ready;
-      th.state <- Ready;
-      dispatch t core
+      th.resume <- Some (fun () -> resume t th k ());
+      requeue t th
     | Coro.Consume (n, k) ->
       let core = t.cores.(th.core_id) in
       let penalty = core.pending_penalty in
       core.pending_penalty <- 0;
       let ipi = core.pending_ipi in
       core.pending_ipi <- 0;
-      let actual = refresh_stretch t (Sim.now (sim t)) n + penalty + ipi in
+      let actual = Kernel.refresh_stretch t.chip (Sim.now (sim t)) n + penalty + ipi in
       ignore
         (Sim.schedule_in (sim t) actual (fun () ->
              if th.state <> Zombie then begin
@@ -599,46 +596,19 @@ let rec step_thread t (th : thread) (s : Coro.step) =
                  Accounting.attribute (acct t) ~rank:t.rank ~core:th.core_id
                    ~now:(Sim.now (sim t))
                    [ (Accounting.Daemon, penalty); (Accounting.Interrupt, ipi) ];
-               if deliver_signals t th then step_thread t th (k ())
+               if deliver_signals t th then resume t th k ()
              end))
-    | Coro.Load (addr, len, k) -> (
-      try
-        let pa = translate t th Tlb.Load addr len in
-        Cache.access (Chip.l2 t.chip) pa;
-        step_thread t th (k (Memory.read (memory t) ~addr:pa ~len))
-      with Fault reason -> fault_thread t th reason)
-    | Coro.Store (addr, data, k) -> (
-      let len = Bytes.length data in
-      match Dac.check_store (dac_of t th) ~addr with
-      | Some _ ->
-        (* Guard hit: SIGSEGV. With a handler the store is dropped and the
-           thread continues; without one the thread dies. *)
-        th.pending_sigs <- th.pending_sigs @ [ sigsegv ];
-        emit t "cnk.guard_hit" th.tid;
-        Obs.incr (obs t) ~rank:t.rank ~core:th.core_id ~subsystem:"dac" ~name:"violation" ();
-        ras t Machine.Ras_warn
-          (Printf.sprintf "DAC guard hit by tid %d at 0x%x" th.tid addr);
-        if deliver_signals t th then step_thread t th (k ())
-      | None -> (
-        try
-          let pa = translate t th Tlb.Store addr len in
-          Cache.access (Chip.l2 t.chip) pa;
-          Mmap_tracker.mark_dirty th.proc.tracker ~addr ~len;
-          Memory.write (memory t) ~addr:pa data;
-          step_thread t th (k ())
-        with Fault reason -> fault_thread t th reason))
-    | Coro.Cas (addr, expected, desired, k) -> (
-      try
-        let v = read_word t th addr in
-        if v = expected then write_word t th addr desired;
-        step_thread t th (k (v = expected))
-      with Fault reason -> fault_thread t th reason)
-    | Coro.Fetch_add (addr, delta, k) -> (
-      try
-        let v = read_word t th addr in
-        write_word t th addr (v + delta);
-        step_thread t th (k v)
-      with Fault reason -> fault_thread t th reason)
+    | Coro.Trap (Coro.Fault (reason, _), _) ->
+      t.faults <- (th.tid, reason) :: t.faults;
+      thread_exit t th sigsegv
+    | Coro.Trap (Coro.Guard_hit addr, k) ->
+      (* With a handler the store is dropped and the thread continues;
+         without one the thread dies. *)
+      th.pending_sigs <- th.pending_sigs @ [ sigsegv ];
+      emit t "cnk.guard_hit" th.tid;
+      Obs.incr (obs t) ~rank:t.rank ~core:th.core_id ~subsystem:"dac" ~name:"violation" ();
+      ras t Machine.Ras_warn (Printf.sprintf "DAC guard hit by tid %d at 0x%x" th.tid addr);
+      if deliver_signals t th then resume t th k ()
     | Coro.Syscall (req, k) ->
       t.syscalls <- t.syscalls + 1;
       (match t.strace with
@@ -647,23 +617,27 @@ let rec step_thread t (th : thread) (s : Coro.step) =
           (Format.asprintf "[%d] tid %d: %a@." (Sim.now (sim t)) th.tid Sysreq.pp_request req)
       | None -> ());
       emit t "cnk.syscall" ((th.tid * 1000) + (Hashtbl.hash (Sysreq.request_name req) mod 1000));
-      let k = Kernel.instrument_syscall t.machine ~rank:t.rank ~core:th.core_id req k in
-      let k = Kernel.account_syscall t.machine ~rank:t.rank ~core:th.core_id req k in
+      let k = Kernel.enter_syscall t.machine ~rank:t.rank ~core:th.core_id req th.services k in
       ignore
         (Sim.schedule_in (sim t) syscall_overhead (fun () ->
              if th.state <> Zombie then handle_syscall t th req k))
 
-and fault_thread t (th : thread) reason =
-  t.faults <- (th.tid, reason) :: t.faults;
-  thread_exit t th sigsegv
+and resume t th k v = step_thread t th (Coro.resume th.services k v)
 
-and finish t th k reply = step_thread t th (k reply)
+and requeue t (th : thread) =
+  let core = t.cores.(th.core_id) in
+  (match core.current with
+  | Some cur when cur.tid = th.tid -> core.current <- None
+  | _ -> ());
+  Queue.push th core.ready;
+  th.state <- Ready;
+  dispatch t core
 
 (* --- syscall implementation -------------------------------------------- *)
 
 and handle_syscall t (th : thread) (req : Sysreq.request) k =
   let p = th.proc in
-  let ret reply = finish t th k reply in
+  let ret reply = step_thread t th (k reply) in
   match req with
   | Sysreq.Getpid -> ret (Sysreq.R_int p.pid)
   | Sysreq.Gettid -> ret (Sysreq.R_int th.tid)
@@ -753,13 +727,7 @@ and handle_syscall t (th : thread) (req : Sysreq.request) k =
   | Sysreq.Tgkill { tid; signo } -> handle_tgkill t th tid signo ret
   | Sysreq.Sched_yield ->
     th.resume <- Some (fun () -> ret (Sysreq.R_int 0));
-    let core = t.cores.(th.core_id) in
-    (match core.current with
-    | Some cur when cur.tid = th.tid -> core.current <- None
-    | _ -> ());
-    th.state <- Ready;
-    Queue.push th core.ready;
-    dispatch t core
+    requeue t th
   | Sysreq.Futex_wait { addr; expected } -> (
     match read_word t th addr with
     | exception Fault _ -> ret (Sysreq.R_err Errno.EFAULT)
@@ -894,6 +862,7 @@ and handle_clone t (th : thread) ~flags ~parent_tid_addr ~child_tid_addr ~entry 
             is_main = false;
             state = Ready;
             resume = None;
+            services = Coro.idle;
             clear_child_tid = (if child_tid_addr <> 0 then Some child_tid_addr else None);
             pending_sigs = [];
             guard = None;
@@ -901,6 +870,7 @@ and handle_clone t (th : thread) ~flags ~parent_tid_addr ~child_tid_addr ~entry 
             futex_eintr = false;
           }
         in
+        child.services <- Coro.Services (ops, (t, child));
         Hashtbl.add t.threads tid child;
         p.threads <- child :: p.threads;
         (* The last mprotect before clone defines the child's stack guard. *)
@@ -912,7 +882,7 @@ and handle_clone t (th : thread) ~flags ~parent_tid_addr ~child_tid_addr ~entry 
            joiner never sees a stale zero-then-set window. *)
         if parent_tid_addr <> 0 then (try write_word t th parent_tid_addr tid with Fault _ -> ());
         if child_tid_addr <> 0 then (try write_word t th child_tid_addr tid with Fault _ -> ());
-        child.resume <- Some (fun () -> step_thread t child (Coro.start entry));
+        child.resume <- Some (fun () -> step_thread t child (Coro.start child.services entry));
         emit t "cnk.clone" tid;
         make_ready t child;
         ret (Sysreq.R_int tid)
@@ -1174,6 +1144,7 @@ let launch t (job : Job.t) =
               is_main = true;
               state = Ready;
               resume = None;
+              services = Coro.idle;
               clear_child_tid = None;
               pending_sigs = [];
               guard = None;
@@ -1181,12 +1152,13 @@ let launch t (job : Job.t) =
               futex_eintr = false;
             }
           in
+          main.services <- Coro.Services (ops, (t, main));
           Hashtbl.add t.threads tid main;
           p.threads <- [ main ];
           let lo, hi = main_guard_range p in
           program_guard t main lo hi;
           let entry = job.Job.image.Image.entry in
-          main.resume <- Some (fun () -> step_thread t main (Coro.start entry));
+          main.resume <- Some (fun () -> step_thread t main (Coro.start main.services entry));
           (* Image load over the collective network gates thread start. *)
           let load_cycles =
             Bg_hw.Collective_net.estimate_cycles t.machine.Machine.collective

@@ -79,7 +79,6 @@ val on_job_complete : t -> (unit -> unit) -> unit
 
 (** {1 Introspection (tests, benches, bringup tooling)} *)
 
-val process_count : t -> int
 val live_threads : t -> int
 val syscall_count : t -> int
 val ipi_count : t -> int

@@ -2,9 +2,7 @@ type t = int
 
 let frequency_hz = 850_000_000.0
 let of_seconds s = int_of_float (Float.round (s *. frequency_hz))
-let of_ns ns = of_seconds (ns *. 1e-9)
 let of_us us = of_seconds (us *. 1e-6)
-let of_ms ms = of_seconds (ms *. 1e-3)
 let to_seconds c = float_of_int c /. frequency_hz
 let to_ns c = to_seconds c *. 1e9
 let to_us c = to_seconds c *. 1e6

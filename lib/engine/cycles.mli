@@ -10,9 +10,7 @@ type t = int
 val frequency_hz : float
 (** Core clock: 850 MHz, as BG/P. *)
 
-val of_ns : float -> t
 val of_us : float -> t
-val of_ms : float -> t
 val of_seconds : float -> t
 
 val to_ns : t -> float

@@ -12,7 +12,6 @@ let all_descending = [ P1g; P256m; P16m; P1m; P64k; P4k ]
 let large_descending = [ P1g; P256m; P16m; P1m ]
 let aligned t addr = addr mod bytes t = 0
 let align_up t addr = (addr + bytes t - 1) / bytes t * bytes t
-let align_down t addr = addr / bytes t * bytes t
 
 let to_string = function
   | P4k -> "4K"

@@ -17,6 +17,5 @@ val aligned : t -> int -> bool
 (** [aligned size addr]: is [addr] a multiple of the page size? *)
 
 val align_up : t -> int -> int
-val align_down : t -> int -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -145,9 +145,6 @@ let link_busy_cycles t ~rank ~dir =
   check_dir dir;
   match Hashtbl.find_opt t.busy_cycles (rank, dir) with Some n -> n | None -> 0
 
-let busy_links t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.busy_cycles [] |> List.sort compare
-
 let total_busy_cycles t = Hashtbl.fold (fun _ v acc -> acc + v) t.busy_cycles 0
 
 let set_link_broken t ~rank ~dir v =

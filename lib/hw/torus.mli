@@ -47,10 +47,6 @@ val link_in_flight : t -> rank:int -> dir:int -> int
 val link_busy_cycles : t -> rank:int -> dir:int -> int
 (** Cumulative cycles this directed link has spent serializing payload. *)
 
-val busy_links : t -> ((int * int) * int) list
-(** Every link that ever carried traffic with its busy-cycle total,
-    sorted by (rank, dir). *)
-
 val total_busy_cycles : t -> int
 
 val transfer :

@@ -80,43 +80,72 @@ let causal_mint ?chain (m : Machine.t) ~rank ~cat ~name ~core =
 let acct_switch (m : Machine.t) ~rank ~core state =
   Accounting.switch m.acct ~rank ~core ~now:(Sim.now m.sim) state
 
-let instrument_syscall (m : Machine.t) ~rank ~core req k =
+let enter_syscall (m : Machine.t) ~rank ~core req services k =
   let o = m.obs in
-  if not (Obs.enabled o || Causal.enabled m.causal) then k
-  else
-    match req with
-    | Sysreq.Exit_thread _ | Sysreq.Exit_group _ -> k
-    | _ ->
-      let names = Sysreq.request_names req in
-      let name = names.call in
-      let start = Sim.now m.sim in
-      let h =
-        if Obs.enabled o then Some (Obs.span_begin o ~cat:"syscall" ~name ~rank ~core ~now:start)
-        else None
-      in
-      (* Causal: entry and exit are program-order chained on this core's
-         lane, so whatever the syscall caused in between (a function
-         ship, a DMA injection) hangs between two anchors. *)
-      ignore (causal_mint m ~rank ~cat:"syscall" ~name:names.entry ~core);
-      fun reply ->
-        let now = Sim.now m.sim in
-        (match h with
-        | Some h ->
-          Obs.span_end o h ~now;
-          Obs.observe_cycles o ~rank ~subsystem:"syscall" ~name (now - start);
-          Obs.incr o ~rank ~core ~subsystem:"syscall" ~name ()
-        | None -> ());
-        ignore (causal_mint m ~rank ~cat:"syscall" ~name:names.exit ~core);
-        k reply
-
-let account_syscall m ~rank ~core req k =
   match req with
-  | Sysreq.Exit_thread _ | Sysreq.Exit_group _ -> k
-  | _ ->
+  | Sysreq.Exit_thread _ | Sysreq.Exit_group _ -> fun reply -> Coro.resume services k reply
+  | _ when not (Obs.enabled o || Causal.enabled m.causal) ->
     acct_switch m ~rank ~core Accounting.Syscall;
     fun reply ->
       acct_switch m ~rank ~core Accounting.App;
-      k reply
+      Coro.resume services k reply
+  | _ ->
+    let ({ Sysreq.call = name; _ } as names) = Sysreq.request_names req in
+    let start = Sim.now m.sim in
+    let h =
+      if Obs.enabled o then Some (Obs.span_begin o ~cat:"syscall" ~name ~rank ~core ~now:start)
+      else None
+    in
+    (* Causal: entry and exit are program-order chained on this core's
+       lane, so whatever the syscall caused in between (a function ship,
+       a DMA injection) hangs between two anchors. *)
+    ignore (causal_mint m ~rank ~cat:"syscall" ~name:names.entry ~core);
+    acct_switch m ~rank ~core Accounting.Syscall;
+    fun reply ->
+      acct_switch m ~rank ~core Accounting.App;
+      let now = Sim.now m.sim in
+      (match h with
+      | Some h ->
+        Obs.span_end o h ~now;
+        Obs.observe_cycles o ~rank ~subsystem:"syscall" ~name (now - start);
+        Obs.incr o ~rank ~core ~subsystem:"syscall" ~name ()
+      | None -> ());
+      ignore (causal_mint m ~rank ~cat:"syscall" ~name:names.exit ~core);
+      Coro.resume services k reply
+
+exception Fault of string
+
+let ops ~clock ~load ~store ~read_word ~write_word =
+  let fault reason v = Coro.trap (Coro.Fault (reason, v)) in
+  {
+    Coro.clock = (fun (n, th) -> clock n th);
+    load =
+      (fun (n, th) addr len ->
+        try load n th addr len with Fault r -> fault r (Bytes.make len '\000'));
+    store = (fun (n, th) addr data -> try store n th addr data with Fault r -> fault r ());
+    cas =
+      (fun (n, th) addr expected desired ->
+        try
+          let v = read_word n th addr in
+          if v = expected then write_word n th addr desired;
+          v = expected
+        with Fault r -> fault r false);
+    fetch_add =
+      (fun (n, th) addr delta ->
+        try
+          let v = read_word n th addr in
+          write_word n th addr (v + delta);
+          v
+        with Fault r -> fault r 0);
+  }
+
+(* The residual noise floor: a block of [n] cycles from [start] that
+   spans k DRAM refresh windows pays k short stalls. *)
+let refresh_stretch chip start n =
+  let p = Bg_hw.Chip.params chip in
+  let interval = p.Bg_hw.Params.dram_refresh_interval_cycles in
+  let stall = p.Bg_hw.Params.dram_refresh_stall_cycles in
+  if interval <= 0 then n else n + ((((start + n) / interval) - (start / interval)) * stall)
 
 let query_perf chip op =
   let upc = Bg_hw.Chip.upc chip in

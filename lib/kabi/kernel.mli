@@ -80,20 +80,32 @@ val causal_mint :
 val acct_switch : Machine.t -> rank:int -> core:int -> Bg_obs.Accounting.state -> unit
 (** Switch the core's cycle-ledger state at the current cycle. *)
 
-val instrument_syscall :
-  Machine.t -> rank:int -> core:int -> Sysreq.request -> (Sysreq.reply -> 'a) ->
-  Sysreq.reply -> 'a
-(** Wrap a syscall continuation so the dispatch-to-reply interval lands in
-    the observability layer: a "syscall" span, a per-kind latency timer
-    and count, and causal entry/exit nodes. Purely passive (no events, no
-    RNG), so the architectural trace digest is the same with collection
-    on or off. Exit syscalls never return and are left unwrapped. *)
+val enter_syscall :
+  Machine.t -> rank:int -> core:int -> Sysreq.request -> Coro.services ->
+  (Sysreq.reply, Coro.step) Effect.Deep.continuation -> Sysreq.reply -> Coro.step
+(** Book a thread's trap into the kernel and return its reply path, which
+    resumes the thread with [services]. Trap-to-reply is charged to
+    [Syscall] in the cycle ledger. While obs or causal collection is on,
+    the interval also lands in a "syscall" span, a per-kind latency timer
+    and count, and causal entry/exit nodes; this is purely passive (no
+    events, no RNG), so the trace digest is the same with collection on
+    or off. Exit syscalls never reply and are not booked. *)
 
-val account_syscall :
-  Machine.t -> rank:int -> core:int -> Sysreq.request -> (Sysreq.reply -> 'a) ->
-  Sysreq.reply -> 'a
-(** Charge trap-to-reply to [Syscall] in the cycle ledger. Exit syscalls
-    never reply; their cycles end with the thread. *)
+exception Fault of string
+(** A translation fault, raised by a kernel's memory primitives. *)
+
+val ops :
+  clock:('n -> 'th -> Bg_engine.Cycles.t) -> load:('n -> 'th -> int -> int -> bytes) ->
+  store:('n -> 'th -> int -> bytes -> unit) -> read_word:('n -> 'th -> int -> int) ->
+  write_word:('n -> 'th -> int -> int -> unit) -> ('n * 'th) Coro.ops
+(** A kernel's in-place operations on a (node, thread) pair, over its
+    primitives: [cas] and [fetch_add] are one read-modify-write each. A
+    {!Fault} becomes a {!Coro.Fault} trap, with zero bytes, [()], [false]
+    or [0] as what the access returns if the kernel lets the thread on. *)
+
+val refresh_stretch : Bg_hw.Chip.t -> Bg_engine.Cycles.t -> int -> int
+(** [n] cycles of work starting at cycle [start], plus one DRAM refresh
+    stall per refresh window the block crosses. *)
 
 val query_perf : Bg_hw.Chip.t -> Sysreq.perf_op -> Sysreq.reply
 (** Serve [Query_perf] from the chip's UPC unit: start, stop, freeze, or

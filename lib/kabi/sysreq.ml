@@ -8,7 +8,6 @@ type open_flags = {
 }
 
 let o_rdonly = { rd = true; wr = false; creat = false; trunc = false; append = false; excl = false }
-let o_wronly = { rd = false; wr = true; creat = false; trunc = false; append = false; excl = false }
 let o_rdwr = { rd = true; wr = true; creat = false; trunc = false; append = false; excl = false }
 let o_create_trunc = { rd = false; wr = true; creat = true; trunc = true; append = false; excl = false }
 
@@ -154,101 +153,39 @@ let is_file_io = function
   | Dma_poll _ | Uname | Get_personality | Gettimeofday ->
     false
 
-(* Static constants: tracing a syscall picks its names from here and
-   never concatenates a string on the hot path. *)
+(* Static constants, built once per request kind: tracing a syscall picks
+   its names from here and never concatenates a string on the hot path. *)
 type names = { call : string; entry : string; exit : string; service : string }
 
-let request_names = function
-  | Getpid ->
-    { call = "getpid"; entry = "getpid.entry"; exit = "getpid.exit"; service = "service.getpid" }
-  | Gettid ->
-    { call = "gettid"; entry = "gettid.entry"; exit = "gettid.exit"; service = "service.gettid" }
-  | Get_rank ->
-    { call = "get_rank"; entry = "get_rank.entry"; exit = "get_rank.exit"; service = "service.get_rank" }
-  | Clone _ ->
-    { call = "clone"; entry = "clone.entry"; exit = "clone.exit"; service = "service.clone" }
-  | Set_tid_address _ ->
-    { call = "set_tid_address"; entry = "set_tid_address.entry"; exit = "set_tid_address.exit"; service = "service.set_tid_address" }
-  | Exit_thread _ ->
-    { call = "exit_thread"; entry = "exit_thread.entry"; exit = "exit_thread.exit"; service = "service.exit_thread" }
-  | Exit_group _ ->
-    { call = "exit_group"; entry = "exit_group.entry"; exit = "exit_group.exit"; service = "service.exit_group" }
-  | Sigaction _ ->
-    { call = "sigaction"; entry = "sigaction.entry"; exit = "sigaction.exit"; service = "service.sigaction" }
-  | Tgkill _ ->
-    { call = "tgkill"; entry = "tgkill.entry"; exit = "tgkill.exit"; service = "service.tgkill" }
-  | Sched_yield ->
-    { call = "sched_yield"; entry = "sched_yield.entry"; exit = "sched_yield.exit"; service = "service.sched_yield" }
-  | Futex_wait _ ->
-    { call = "futex_wait"; entry = "futex_wait.entry"; exit = "futex_wait.exit"; service = "service.futex_wait" }
-  | Futex_wake _ ->
-    { call = "futex_wake"; entry = "futex_wake.entry"; exit = "futex_wake.exit"; service = "service.futex_wake" }
-  | Brk _ ->
-    { call = "brk"; entry = "brk.entry"; exit = "brk.exit"; service = "service.brk" }
-  | Mmap _ ->
-    { call = "mmap"; entry = "mmap.entry"; exit = "mmap.exit"; service = "service.mmap" }
-  | Munmap _ ->
-    { call = "munmap"; entry = "munmap.entry"; exit = "munmap.exit"; service = "service.munmap" }
-  | Mprotect _ ->
-    { call = "mprotect"; entry = "mprotect.entry"; exit = "mprotect.exit"; service = "service.mprotect" }
-  | Shm_open _ ->
-    { call = "shm_open"; entry = "shm_open.entry"; exit = "shm_open.exit"; service = "service.shm_open" }
-  | Query_map ->
-    { call = "query_map"; entry = "query_map.entry"; exit = "query_map.exit"; service = "service.query_map" }
-  | Query_vtop _ ->
-    { call = "query_vtop"; entry = "query_vtop.entry"; exit = "query_vtop.exit"; service = "service.query_vtop" }
-  | Query_dirty _ ->
-    { call = "query_dirty"; entry = "query_dirty.entry"; exit = "query_dirty.exit"; service = "service.query_dirty" }
-  | Query_perf _ ->
-    { call = "query_perf"; entry = "query_perf.entry"; exit = "query_perf.exit"; service = "service.query_perf" }
-  | Dma_inject _ ->
-    { call = "dma_inject"; entry = "dma_inject.entry"; exit = "dma_inject.exit"; service = "service.dma_inject" }
-  | Dma_poll _ ->
-    { call = "dma_poll"; entry = "dma_poll.entry"; exit = "dma_poll.exit"; service = "service.dma_poll" }
-  | Uname ->
-    { call = "uname"; entry = "uname.entry"; exit = "uname.exit"; service = "service.uname" }
-  | Get_personality ->
-    { call = "get_personality"; entry = "get_personality.entry"; exit = "get_personality.exit"; service = "service.get_personality" }
-  | Gettimeofday ->
-    { call = "gettimeofday"; entry = "gettimeofday.entry"; exit = "gettimeofday.exit"; service = "service.gettimeofday" }
-  | Open _ ->
-    { call = "open"; entry = "open.entry"; exit = "open.exit"; service = "service.open" }
-  | Close _ ->
-    { call = "close"; entry = "close.entry"; exit = "close.exit"; service = "service.close" }
-  | Read _ ->
-    { call = "read"; entry = "read.entry"; exit = "read.exit"; service = "service.read" }
-  | Write _ ->
-    { call = "write"; entry = "write.entry"; exit = "write.exit"; service = "service.write" }
-  | Pread _ ->
-    { call = "pread"; entry = "pread.entry"; exit = "pread.exit"; service = "service.pread" }
-  | Pwrite _ ->
-    { call = "pwrite"; entry = "pwrite.entry"; exit = "pwrite.exit"; service = "service.pwrite" }
-  | Lseek _ ->
-    { call = "lseek"; entry = "lseek.entry"; exit = "lseek.exit"; service = "service.lseek" }
-  | Fstat _ ->
-    { call = "fstat"; entry = "fstat.entry"; exit = "fstat.exit"; service = "service.fstat" }
-  | Stat _ ->
-    { call = "stat"; entry = "stat.entry"; exit = "stat.exit"; service = "service.stat" }
-  | Ftruncate _ ->
-    { call = "ftruncate"; entry = "ftruncate.entry"; exit = "ftruncate.exit"; service = "service.ftruncate" }
-  | Unlink _ ->
-    { call = "unlink"; entry = "unlink.entry"; exit = "unlink.exit"; service = "service.unlink" }
-  | Mkdir _ ->
-    { call = "mkdir"; entry = "mkdir.entry"; exit = "mkdir.exit"; service = "service.mkdir" }
-  | Rmdir _ ->
-    { call = "rmdir"; entry = "rmdir.entry"; exit = "rmdir.exit"; service = "service.rmdir" }
-  | Readdir _ ->
-    { call = "readdir"; entry = "readdir.entry"; exit = "readdir.exit"; service = "service.readdir" }
-  | Chdir _ ->
-    { call = "chdir"; entry = "chdir.entry"; exit = "chdir.exit"; service = "service.chdir" }
-  | Getcwd ->
-    { call = "getcwd"; entry = "getcwd.entry"; exit = "getcwd.exit"; service = "service.getcwd" }
-  | Rename _ ->
-    { call = "rename"; entry = "rename.entry"; exit = "rename.exit"; service = "service.rename" }
-  | Dup _ ->
-    { call = "dup"; entry = "dup.entry"; exit = "dup.exit"; service = "service.dup" }
-  | Fsync _ ->
-    { call = "fsync"; entry = "fsync.entry"; exit = "fsync.exit"; service = "service.fsync" }
+(* A request's kind is its constructor's position in [calls]. *)
+let kind = function
+  | Getpid -> 0 | Gettid -> 1 | Get_rank -> 2 | Clone _ -> 3 | Set_tid_address _ -> 4
+  | Exit_thread _ -> 5 | Exit_group _ -> 6 | Sigaction _ -> 7 | Tgkill _ -> 8
+  | Sched_yield -> 9 | Futex_wait _ -> 10 | Futex_wake _ -> 11 | Brk _ -> 12
+  | Mmap _ -> 13 | Munmap _ -> 14 | Mprotect _ -> 15 | Shm_open _ -> 16 | Query_map -> 17
+  | Query_vtop _ -> 18 | Query_dirty _ -> 19 | Query_perf _ -> 20 | Dma_inject _ -> 21
+  | Dma_poll _ -> 22 | Uname -> 23 | Get_personality -> 24 | Gettimeofday -> 25
+  | Open _ -> 26 | Close _ -> 27 | Read _ -> 28 | Write _ -> 29 | Pread _ -> 30
+  | Pwrite _ -> 31 | Lseek _ -> 32 | Fstat _ -> 33 | Stat _ -> 34 | Ftruncate _ -> 35
+  | Unlink _ -> 36 | Mkdir _ -> 37 | Rmdir _ -> 38 | Readdir _ -> 39 | Chdir _ -> 40
+  | Getcwd -> 41 | Rename _ -> 42 | Dup _ -> 43 | Fsync _ -> 44
+
+let calls =
+  [| "getpid"; "gettid"; "get_rank"; "clone"; "set_tid_address"; "exit_thread"; "exit_group";
+    "sigaction"; "tgkill"; "sched_yield"; "futex_wait"; "futex_wake"; "brk"; "mmap";
+    "munmap"; "mprotect"; "shm_open"; "query_map"; "query_vtop"; "query_dirty";
+    "query_perf"; "dma_inject"; "dma_poll"; "uname"; "get_personality"; "gettimeofday";
+    "open"; "close"; "read"; "write"; "pread"; "pwrite"; "lseek"; "fstat"; "stat";
+    "ftruncate"; "unlink"; "mkdir"; "rmdir"; "readdir"; "chdir"; "getcwd"; "rename"; "dup";
+    "fsync" |]
+
+let names =
+  Array.map
+    (fun call ->
+      { call; entry = call ^ ".entry"; exit = call ^ ".exit"; service = "service." ^ call })
+    calls
+
+let request_names r = names.(kind r)
 
 let request_name r = (request_names r).call
 

@@ -19,7 +19,6 @@ type open_flags = {
 }
 
 val o_rdonly : open_flags
-val o_wronly : open_flags
 val o_rdwr : open_flags
 val o_create_trunc : open_flags
 (** write + creat + trunc, the common "clobber" open. *)

@@ -68,7 +68,6 @@ let causal_recv c ~name ~src_ctx =
   end
 let fabric_of c = c.fabric
 let rank c = c.rank
-let path_of c = c.fabric.path
 let node_count c = Machine.nodes c.fabric.machine
 let sim c = c.fabric.machine.Machine.sim
 let torus c = c.fabric.machine.Machine.torus

@@ -55,7 +55,6 @@ val attach : fabric -> rank:int -> ctx
     gets stream out of the registered buffers and landings route back. *)
 
 val rank : ctx -> int
-val path_of : ctx -> path
 val node_count : ctx -> int
 
 val register : ctx -> tag:int -> bytes:int -> unit

@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples docs csv trace-smoke resilience-smoke attribute-smoke cio-chaos-smoke msg-smoke causal-smoke snap-smoke health-smoke heal-smoke sched-smoke clean
+.PHONY: all build test bench examples docs csv trace-smoke resilience-smoke attribute-smoke msg-smoke causal-smoke snap-smoke health-smoke heal-smoke sched-smoke clean
 
 all: build
 
@@ -42,18 +42,6 @@ resilience-smoke:
 	  | grep digest > /tmp/resilience_smoke_b.txt
 	@cmp /tmp/resilience_smoke_a.txt /tmp/resilience_smoke_b.txt
 	@echo "resilience-smoke OK"
-
-# CIO chaos sweep, run twice: the tool itself checks that every faulty
-# cell's app-visible file bytes hash identically to the fault-free run's
-# and that no request surfaced EIO; the two runs must print bit-identical
-# digest lines.
-cio-chaos-smoke:
-	dune exec bin/cio_chaos_tool.exe -- --seed 1 --csv /tmp/cio_chaos_sweep.csv \
-	  | grep digest > /tmp/cio_chaos_smoke_a.txt
-	dune exec bin/cio_chaos_tool.exe -- --seed 1 \
-	  | grep digest > /tmp/cio_chaos_smoke_b.txt
-	@cmp /tmp/cio_chaos_smoke_a.txt /tmp/cio_chaos_smoke_b.txt
-	@echo "cio-chaos-smoke OK"
 
 # Table I messaging sweep over the DMA engine, run twice: the tool
 # itself asserts CNK's user-space path beats the FWK's kernel-mediated

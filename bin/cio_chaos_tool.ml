@@ -15,9 +15,8 @@
    retransmissions, replayed duplicates).
 
    Every run prints its sim trace digest, and the tool ends with a
-   combined digest over the whole sweep — two runs with the same seed
-   must print identical digest lines (`make cio-chaos-smoke` checks
-   exactly that). *)
+   combined digest over the whole sweep. The full output of
+   [--seed 1] is pinned in test/golden/cio_chaos.expected. *)
 
 open Cmdliner
 module Obs = Bg_obs.Obs

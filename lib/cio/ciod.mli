@@ -30,7 +30,6 @@ val create : Machine.t -> ?fs:Fs.t -> ?config:Reliable.config -> io_node:int -> 
 val fs : t -> Fs.t
 val io_node : t -> int
 val config : t -> Reliable.config
-val manifest : t -> Manifest.t
 val alive : t -> bool
 
 val register_node : t -> rank:int -> deliver:(bytes -> unit) -> unit
@@ -78,7 +77,6 @@ val requests_served : t -> int
 val retransmits_seen : t -> int
 val queue_rejects : t -> int
 val crashes : t -> int
-val restarts : t -> int
 val queue_depth : t -> int
 val proxy_count : t -> int
 

@@ -47,8 +47,6 @@ let byte_kind = function
   | 2 -> Some Ack
   | _ -> None
 
-let overhead = header_bytes
-
 let encode f =
   let len = Bytes.length f.payload in
   let b = Bytes.create (header_bytes + len) in
@@ -68,34 +66,42 @@ let encode f =
   Bytes.set_int32_le b 2 (Int32.of_int crc);
   b
 
+let zero_crc = Bytes.make 4 '\000'
+
+(* The CRC of [data] as encoded: the crc field counts as four zero
+   bytes, so the check reads the frame in place instead of a zeroed copy. *)
+let frame_crc data =
+  let module C = Bg_engine.Crc32 in
+  let c = C.compute data ~pos:0 ~len:2 in
+  let c = C.update c zero_crc ~pos:0 ~len:4 in
+  C.update c data ~pos:6 ~len:(Bytes.length data - 6)
+
+let int_at data off = Int64.to_int (Bytes.get_int64_le data off)
+let int32_at data off = Int32.to_int (Bytes.get_int32_le data off)
+
 let decode data =
   let n = Bytes.length data in
   if n < header_bytes then Error (Malformed (Printf.sprintf "short frame: %d bytes" n))
   else begin
     let stored = Int32.to_int (Bytes.get_int32_le data 2) land 0xffffffff in
-    let scratch = Bytes.copy data in
-    Bytes.set_int32_le scratch 2 0l;
-    let computed = Bg_engine.Crc32.compute scratch ~pos:0 ~len:n in
-    if stored <> computed then Error Corrupt
+    if stored <> frame_crc data then Error Corrupt
     else if Bytes.get_uint8 data 0 <> magic then Error (Malformed "bad magic")
     else
       match byte_kind (Bytes.get_uint8 data 1) with
       | None -> Error (Malformed "bad kind")
       | Some kind -> begin
-        let int_at off = Int64.to_int (Bytes.get_int64_le data off) in
-        let int32_at off = Int32.to_int (Bytes.get_int32_le data off) in
-        let len = int32_at 34 in
+        let len = int32_at data 34 in
         if len < 0 || header_bytes + len <> n then
           Error (Malformed (Printf.sprintf "bad payload length %d in %d-byte frame" len n))
         else
           Ok
             {
               kind;
-              rank = int32_at 6;
-              pid = int_at 10;
-              tid = int_at 18;
-              seq = int_at 26;
-              ctx = int_at 38;
+              rank = int32_at data 6;
+              pid = int_at data 10;
+              tid = int_at data 18;
+              seq = int_at data 26;
+              ctx = int_at data 38;
               payload = Bytes.sub data header_bytes len;
             }
       end

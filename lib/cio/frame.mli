@@ -30,8 +30,7 @@ type error = Malformed of string | Corrupt
 
 val error_message : error -> string
 
-val overhead : int
-(** Frame header size in bytes — what the wire is charged beyond the payload. *)
-
 val encode : t -> bytes
 val decode : bytes -> (t, error) result
+(** Never raises and never writes to its argument. The CRC is checked
+    in place; the only copy is the returned payload. *)

@@ -19,8 +19,6 @@ let fd_limit = 1024
 let create fs ~rank ~pid =
   { fs; rank; pid; cwd = "/"; fds = Hashtbl.create 16; next_fd = 3; closed = false }
 
-let rank t = t.rank
-let pid t = t.pid
 let cwd t = t.cwd
 let open_fds t = Hashtbl.length t.fds
 

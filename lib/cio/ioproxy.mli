@@ -12,8 +12,6 @@ type t
 
 val create : Fs.t -> rank:int -> pid:int -> t
 
-val rank : t -> int
-val pid : t -> int
 val cwd : t -> string
 val open_fds : t -> int
 

@@ -1,21 +1,34 @@
 type header = { rank : int; pid : int; tid : int }
 
-(* --- primitive encoders -------------------------------------------- *)
+(* --- primitive encoders --------------------------------------------
 
-let put_u8 b v = Buffer.add_uint8 b (v land 0xff)
+   A message is encoded into bytes of exactly its size: the encoder
+   first sums the field sizes, then each [put_*] writes at an offset
+   and returns the offset after it. *)
 
-let put_int b v =
-  let x = Bytes.create 8 in
-  Bytes.set_int64_le x 0 (Int64.of_int v);
-  Buffer.add_bytes b x
+let put_u8 b at v =
+  Bytes.set_uint8 b at (v land 0xff);
+  at + 1
 
-let put_str b s =
-  put_int b (String.length s);
-  Buffer.add_string b s
+let put_int b at v =
+  Bytes.set_int64_le b at (Int64.of_int v);
+  at + 8
 
-let put_bytes b d =
-  put_int b (Bytes.length d);
-  Buffer.add_bytes b d
+let put_str b at s =
+  let n = String.length s in
+  let at = put_int b at n in
+  Bytes.blit_string s 0 b at n;
+  at + n
+
+let put_bytes b at d =
+  let n = Bytes.length d in
+  let at = put_int b at n in
+  Bytes.blit d 0 b at n;
+  at + n
+
+let str_size s = 8 + String.length s
+let bytes_size d = 8 + Bytes.length d
+let header_size = 24
 
 type error = Malformed of string
 
@@ -68,9 +81,9 @@ let finished c =
     bad "trailing garbage: %d byte(s) past the message" (Bytes.length c.data - c.pos)
 
 let put_header b { rank; pid; tid } =
-  put_int b rank;
-  put_int b pid;
-  put_int b tid
+  let at = put_int b 0 rank in
+  let at = put_int b at pid in
+  put_int b at tid
 
 let get_header c =
   let rank = get_int c in
@@ -106,84 +119,60 @@ let byte_whence = function
   | 2 -> Sysreq.Seek_end
   | n -> bad "bad whence %d" n
 
+(* Body size after the header and the one-byte tag. *)
+let request_size = function
+  | Sysreq.Open { path; _ } -> str_size path + 1 + 8
+  | Sysreq.Close _ | Sysreq.Fstat _ | Sysreq.Dup _ | Sysreq.Fsync _ -> 8
+  | Sysreq.Read _ | Sysreq.Ftruncate _ -> 16
+  | Sysreq.Write { data; _ } -> 8 + bytes_size data
+  | Sysreq.Pread _ -> 24
+  | Sysreq.Pwrite { data; _ } -> 8 + bytes_size data + 8
+  | Sysreq.Lseek _ -> 17
+  | Sysreq.Stat p | Sysreq.Unlink p | Sysreq.Rmdir p | Sysreq.Readdir p | Sysreq.Chdir p ->
+    str_size p
+  | Sysreq.Mkdir { path; _ } -> str_size path + 8
+  | Sysreq.Getcwd -> 0
+  | Sysreq.Rename { src; dst } -> str_size src + str_size dst
+  | _ -> assert false
+
 let encode_request hdr req =
   if not (Sysreq.is_file_io req) then
     invalid_arg
       (Printf.sprintf "Proto.encode_request: %s is not function-shipped"
          (Sysreq.request_name req));
-  let b = Buffer.create 64 in
-  put_header b hdr;
-  (match req with
-  | Sysreq.Open { path; flags; mode } ->
-    put_u8 b 1;
-    put_str b path;
-    put_u8 b (flags_byte flags);
-    put_int b mode
-  | Sysreq.Close fd ->
-    put_u8 b 2;
-    put_int b fd
-  | Sysreq.Read { fd; len } ->
-    put_u8 b 3;
-    put_int b fd;
-    put_int b len
-  | Sysreq.Write { fd; data } ->
-    put_u8 b 4;
-    put_int b fd;
-    put_bytes b data
-  | Sysreq.Pread { fd; len; offset } ->
-    put_u8 b 5;
-    put_int b fd;
-    put_int b len;
-    put_int b offset
-  | Sysreq.Pwrite { fd; data; offset } ->
-    put_u8 b 6;
-    put_int b fd;
-    put_bytes b data;
-    put_int b offset
-  | Sysreq.Lseek { fd; offset; whence } ->
-    put_u8 b 7;
-    put_int b fd;
-    put_int b offset;
-    put_u8 b (whence_byte whence)
-  | Sysreq.Fstat fd ->
-    put_u8 b 8;
-    put_int b fd
-  | Sysreq.Stat path ->
-    put_u8 b 9;
-    put_str b path
-  | Sysreq.Ftruncate { fd; length } ->
-    put_u8 b 10;
-    put_int b fd;
-    put_int b length
-  | Sysreq.Unlink path ->
-    put_u8 b 11;
-    put_str b path
-  | Sysreq.Mkdir { path; mode } ->
-    put_u8 b 12;
-    put_str b path;
-    put_int b mode
-  | Sysreq.Rmdir path ->
-    put_u8 b 13;
-    put_str b path
-  | Sysreq.Readdir path ->
-    put_u8 b 14;
-    put_str b path
-  | Sysreq.Chdir path ->
-    put_u8 b 15;
-    put_str b path
-  | Sysreq.Getcwd -> put_u8 b 16
-  | Sysreq.Rename { src; dst } ->
-    put_u8 b 17;
-    put_str b src;
-    put_str b dst
-  | Sysreq.Dup fd ->
-    put_u8 b 18;
-    put_int b fd
-  | Sysreq.Fsync fd ->
-    put_u8 b 19;
-    put_int b fd
-  | _ -> assert false);
-  Buffer.to_bytes b
+  let size = header_size + 1 + request_size req in
+  let b = Bytes.create size in
+  let at = put_header b hdr in
+  let at =
+    match req with
+    | Sysreq.Open { path; flags; mode } ->
+      let at = put_str b (put_u8 b at 1) path in
+      put_int b (put_u8 b at (flags_byte flags)) mode
+    | Sysreq.Close fd -> put_int b (put_u8 b at 2) fd
+    | Sysreq.Read { fd; len } -> put_int b (put_int b (put_u8 b at 3) fd) len
+    | Sysreq.Write { fd; data } -> put_bytes b (put_int b (put_u8 b at 4) fd) data
+    | Sysreq.Pread { fd; len; offset } ->
+      put_int b (put_int b (put_int b (put_u8 b at 5) fd) len) offset
+    | Sysreq.Pwrite { fd; data; offset } ->
+      put_int b (put_bytes b (put_int b (put_u8 b at 6) fd) data) offset
+    | Sysreq.Lseek { fd; offset; whence } ->
+      put_u8 b (put_int b (put_int b (put_u8 b at 7) fd) offset) (whence_byte whence)
+    | Sysreq.Fstat fd -> put_int b (put_u8 b at 8) fd
+    | Sysreq.Stat path -> put_str b (put_u8 b at 9) path
+    | Sysreq.Ftruncate { fd; length } -> put_int b (put_int b (put_u8 b at 10) fd) length
+    | Sysreq.Unlink path -> put_str b (put_u8 b at 11) path
+    | Sysreq.Mkdir { path; mode } -> put_int b (put_str b (put_u8 b at 12) path) mode
+    | Sysreq.Rmdir path -> put_str b (put_u8 b at 13) path
+    | Sysreq.Readdir path -> put_str b (put_u8 b at 14) path
+    | Sysreq.Chdir path -> put_str b (put_u8 b at 15) path
+    | Sysreq.Getcwd -> put_u8 b at 16
+    | Sysreq.Rename { src; dst } -> put_str b (put_str b (put_u8 b at 17) src) dst
+    | Sysreq.Dup fd -> put_int b (put_u8 b at 18) fd
+    | Sysreq.Fsync fd -> put_int b (put_u8 b at 19) fd
+    | _ -> assert false
+  in
+  assert (at = size);
+  b
 
 let decode_request data =
   try
@@ -256,47 +245,48 @@ let byte_kind = function
   | 1 -> Sysreq.Directory
   | n -> bad "bad kind %d" n
 
-let encode_reply hdr reply =
-  let b = Buffer.create 64 in
-  put_header b hdr;
-  (match reply with
-  | Sysreq.R_unit -> put_u8 b 1
-  | Sysreq.R_int i ->
-    put_u8 b 2;
-    put_int b i
-  | Sysreq.R_bytes d ->
-    put_u8 b 3;
-    put_bytes b d
-  | Sysreq.R_stat s ->
-    put_u8 b 4;
-    put_int b s.Sysreq.st_size;
-    put_u8 b (kind_byte s.Sysreq.st_kind);
-    put_int b s.Sysreq.st_perm
-  | Sysreq.R_names names ->
-    put_u8 b 5;
-    put_int b (List.length names);
-    List.iter (put_str b) names
-  | Sysreq.R_string s ->
-    put_u8 b 6;
-    put_str b s
-  | Sysreq.R_err e ->
-    put_u8 b 7;
-    put_int b (Errno.code e)
+let reply_size = function
+  | Sysreq.R_unit -> 0
+  | Sysreq.R_int _ | Sysreq.R_err _ -> 8
+  | Sysreq.R_bytes d -> bytes_size d
+  | Sysreq.R_stat _ -> 17
+  | Sysreq.R_names names -> List.fold_left (fun n s -> n + str_size s) 8 names
+  | Sysreq.R_string s -> str_size s
   | Sysreq.R_map _ | Sysreq.R_uname _ | Sysreq.R_personality _ | Sysreq.R_ranges _
   | Sysreq.R_perf _ | Sysreq.R_dma_packets _ ->
-    invalid_arg "Proto.encode_reply: reply kind never crosses the wire");
-  Buffer.to_bytes b
+    invalid_arg "Proto.encode_reply: reply kind never crosses the wire"
+
+let encode_reply hdr reply =
+  let size = header_size + 1 + reply_size reply in
+  let b = Bytes.create size in
+  let at = put_header b hdr in
+  let at =
+    match reply with
+    | Sysreq.R_unit -> put_u8 b at 1
+    | Sysreq.R_int i -> put_int b (put_u8 b at 2) i
+    | Sysreq.R_bytes d -> put_bytes b (put_u8 b at 3) d
+    | Sysreq.R_stat s ->
+      let at = put_int b (put_u8 b at 4) s.Sysreq.st_size in
+      put_int b (put_u8 b at (kind_byte s.Sysreq.st_kind)) s.Sysreq.st_perm
+    | Sysreq.R_names names ->
+      List.fold_left (put_str b) (put_int b (put_u8 b at 5) (List.length names)) names
+    | Sysreq.R_string s -> put_str b (put_u8 b at 6) s
+    | Sysreq.R_err e -> put_int b (put_u8 b at 7) (Errno.code e)
+    | _ -> assert false
+  in
+  assert (at = size);
+  b
+
+let errnos =
+  [
+    Errno.EPERM; Errno.ENOENT; Errno.ESRCH; Errno.EINTR; Errno.EIO; Errno.EBADF;
+    Errno.EAGAIN; Errno.ENOMEM; Errno.EACCES; Errno.EFAULT; Errno.EEXIST;
+    Errno.ENOTDIR; Errno.EISDIR; Errno.EINVAL; Errno.EMFILE; Errno.ENOSPC;
+    Errno.ESPIPE; Errno.EROFS; Errno.ENOSYS; Errno.ENOTEMPTY; Errno.ENAMETOOLONG;
+  ]
 
 let errno_of_code code =
-  let all =
-    [
-      Errno.EPERM; Errno.ENOENT; Errno.ESRCH; Errno.EINTR; Errno.EIO; Errno.EBADF;
-      Errno.EAGAIN; Errno.ENOMEM; Errno.EACCES; Errno.EFAULT; Errno.EEXIST;
-      Errno.ENOTDIR; Errno.EISDIR; Errno.EINVAL; Errno.EMFILE; Errno.ENOSPC;
-      Errno.ESPIPE; Errno.EROFS; Errno.ENOSYS; Errno.ENOTEMPTY; Errno.ENAMETOOLONG;
-    ]
-  in
-  match List.find_opt (fun e -> Errno.code e = code) all with
+  match List.find_opt (fun e -> Errno.code e = code) errnos with
   | Some e -> e
   | None -> bad "unknown errno %d" code
 

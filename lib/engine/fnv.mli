@@ -27,5 +27,23 @@ val to_hex : t -> string
 (** Render as a 16-character lowercase hex string. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
+
+(** An in-place running digest for hot paths: folding into it allocates
+    nothing, where each [add_*] above returns a fresh boxed [t]. Every
+    [Acc.add_*] folds exactly the bytes the matching [add_*] does. *)
+module Acc : sig
+  type t
+
+  val create : unit -> t
+  (** A digest at {!empty}. *)
+
+  val get : t -> int64
+  val set : t -> int64 -> unit
+  val add_int : t -> int -> unit
+  val add_int64 : t -> int64 -> unit
+  val add_string : t -> string -> unit
+
+  val to_int : t -> int
+  (** [Int64.to_int (get a)], without boxing the int64. *)
+end

@@ -61,27 +61,29 @@ let spread_percent s =
   else infinity
 
 module Online = struct
+  (* All fields are floats, so the record stores them unboxed and an
+     [add] allocates nothing; the count is exact up to 2^53. *)
   type t = {
-    mutable n : int;
+    mutable n : float;
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
     mutable max : float;
   }
 
-  let create () = { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+  let create () = { n = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
 
   let add t x =
-    t.n <- t.n + 1;
+    t.n <- t.n +. 1.0;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.mean <- t.mean +. (delta /. t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x
 
-  let n t = t.n
+  let n t = int_of_float t.n
   let mean t = t.mean
-  let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
+  let stddev t = if t.n < 2.0 then 0.0 else sqrt (t.m2 /. (t.n -. 1.0))
   let min t = t.min
   let max t = t.max
 end
@@ -92,12 +94,12 @@ module Histogram = struct
     hi : float;
     counts : int array;
     mutable total : int;
-    mutable sum : float;
+    sum : float array;  (* one cell: a float array holds it unboxed *)
   }
 
   let create ~lo ~hi ~bins =
     if bins <= 0 || hi <= lo then invalid_arg "Stats.Histogram.create";
-    { lo; hi; counts = Array.make bins 0; total = 0; sum = 0.0 }
+    { lo; hi; counts = Array.make bins 0; total = 0; sum = [| 0.0 |] }
 
   let add t x =
     let bins = Array.length t.counts in
@@ -106,7 +108,7 @@ module Histogram = struct
     let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
     t.counts.(i) <- t.counts.(i) + 1;
     t.total <- t.total + 1;
-    t.sum <- t.sum +. x
+    t.sum.(0) <- t.sum.(0) +. x
 
   let counts t = Array.copy t.counts
 
@@ -115,7 +117,7 @@ module Histogram = struct
     t.lo +. (float_of_int i *. ((t.hi -. t.lo) /. float_of_int bins))
 
   let total t = t.total
-  let sum t = t.sum
+  let sum t = t.sum.(0)
 
   let percentile t p =
     if t.total = 0 then 0.0

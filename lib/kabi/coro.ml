@@ -55,16 +55,32 @@ let cas ~addr ~expected ~desired =
   match current () with Services (o, c) -> o.cas c addr expected desired
 let fetch_add ~addr delta = match current () with Services (o, c) -> o.fetch_add c addr delta
 
-let handler =
+(* One handler per fiber, built when the fiber starts. A suspension
+   parks its payload in the fiber's [parked] record and returns a [Some]
+   built once here, so a [consume] or [syscall] allocates only its step.
+   The runtime calls the returned function at once, before the fiber can
+   perform again, so [parked] still holds this suspension's payload. *)
+type parked = { mutable cycles : int; mutable request : Sysreq.request }
+
+let on_yield = Some (fun k -> Yield k)
+
+let fiber_handler () =
+  let p = { cycles = 0; request = Sysreq.Getpid } in
+  let on_consume = Some (fun k -> Consume (p.cycles, k)) in
+  let on_syscall = Some (fun k -> Syscall (p.request, k)) in
   {
     retc = (fun () -> Finished);
     exnc = (fun e -> Crashed e);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) : ((a, step) continuation -> step) option ->
         match eff with
-        | E_consume n -> Some (fun (k : (a, step) continuation) -> Consume (n, k))
-        | E_syscall r -> Some (fun k -> Syscall (r, k))
-        | E_yield -> Some (fun k -> Yield k)
+        | E_consume n ->
+          p.cycles <- n;
+          on_consume
+        | E_syscall r ->
+          p.request <- r;
+          on_syscall
+        | E_yield -> on_yield
         | E_trap tr -> Some (fun k -> Trap (tr, k))
         | _ -> None);
   }
@@ -74,7 +90,7 @@ let handler =
 let start s f =
   let cell = Domain.DLS.get slot in
   cell.running <- s;
-  let step = match_with f () handler in
+  let step = match_with f () (fiber_handler ()) in
   cell.running <- idle;
   step
 

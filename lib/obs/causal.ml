@@ -61,6 +61,7 @@ type t = {
   mutable enabled : bool;
   seed : int;
   seed_hash : Fnv.t;  (* FNV of the seed: the id stream's prefix *)
+  id_hash : Fnv.Acc.t;  (* scratch for hashing the next id *)
   max_nodes : int;
   mutable node_chunks : node_chunk array;  (* grown by pointer-doubling *)
   mutable edge_chunks : edge_chunk array;
@@ -71,8 +72,8 @@ type t = {
   mutable n_edges : int;
   mutable minted : int;  (* feeds the id stream; never reused *)
   mutable dropped : int;
-  tails : ctx Scope_tbl.t;  (* (rank, core) -> last minted node *)
-  mutable digest : Fnv.t;
+  tails : ctx Key_tbl.t;  (* (rank, core, 0) -> last minted node *)
+  digest : Fnv.Acc.t;
 }
 
 let initial_index = 64
@@ -83,6 +84,7 @@ let create ?(seed = 1) ?(max_nodes = 262_144) ?(enabled = false) () =
     enabled;
     seed;
     seed_hash = Fnv.add_int Fnv.empty seed;
+    id_hash = Fnv.Acc.create ();
     max_nodes;
     node_chunks = [||];
     edge_chunks = [||];
@@ -91,8 +93,8 @@ let create ?(seed = 1) ?(max_nodes = 262_144) ?(enabled = false) () =
     n_edges = 0;
     minted = 0;
     dropped = 0;
-    tails = Scope_tbl.create ();
-    digest = Fnv.empty;
+    tails = Key_tbl.create ();
+    digest = Fnv.Acc.create ();
   }
 
 let enabled t = t.enabled
@@ -102,12 +104,12 @@ let reset t =
   t.node_chunks <- [||];
   t.edge_chunks <- [||];
   t.index <- Array.make initial_index (-1);
-  Scope_tbl.reset t.tails;
+  Key_tbl.reset t.tails;
   t.n_nodes <- 0;
   t.n_edges <- 0;
   t.minted <- 0;
   t.dropped <- 0;
-  t.digest <- Fnv.empty
+  Fnv.Acc.set t.digest Fnv.empty
 
 (* --- columns ----------------------------------------------------------- *)
 
@@ -217,15 +219,18 @@ let index_add t id i =
    out) just advances the counter. *)
 let rec fresh_id t =
   t.minted <- t.minted + 1;
-  let id = Int64.to_int (Fnv.add_int t.seed_hash t.minted) land max_int in
+  Fnv.Acc.set t.id_hash t.seed_hash;
+  Fnv.Acc.add_int t.id_hash t.minted;
+  let id = Fnv.Acc.to_int t.id_hash land max_int in
   if id = none || index_of t id >= 0 then fresh_id t else id
 
 let record_edge t kind ~src ~dst =
   let code = kind_code kind in
   push_edge t code ~src ~dst;
-  let d = Fnv.add_int t.digest code in
-  let d = Fnv.add_int d src in
-  t.digest <- Fnv.add_int d dst
+  let d = t.digest in
+  Fnv.Acc.add_int d code;
+  Fnv.Acc.add_int d src;
+  Fnv.Acc.add_int d dst
 
 let link t kind ~src ~dst =
   if
@@ -243,17 +248,18 @@ let mint t ?(chain = true) ~cat ~name ~rank ~core ~now () =
     let id = fresh_id t in
     index_add t id t.n_nodes;
     push_node t ~id ~cat ~name ~rank ~core ~at:now;
-    let d = Fnv.add_int t.digest id in
-    let d = Fnv.add_string d cat in
-    let d = Fnv.add_string d name in
-    let d = Fnv.add_int d rank in
-    let d = Fnv.add_int d core in
-    t.digest <- Fnv.add_int d now;
-    let s = Scope_tbl.find t.tails ~rank ~core in
-    if s < 0 then Scope_tbl.add t.tails ~rank ~core id
+    let d = t.digest in
+    Fnv.Acc.add_int d id;
+    Fnv.Acc.add_string d cat;
+    Fnv.Acc.add_string d name;
+    Fnv.Acc.add_int d rank;
+    Fnv.Acc.add_int d core;
+    Fnv.Acc.add_int d now;
+    let s = Key_tbl.find t.tails rank core 0 in
+    if s < 0 then ignore (Key_tbl.add t.tails rank core 0 id)
     else begin
-      if chain then record_edge t Parent_child ~src:(Scope_tbl.get t.tails s) ~dst:id;
-      Scope_tbl.set t.tails s id
+      if chain then record_edge t Parent_child ~src:(Key_tbl.get t.tails s) ~dst:id;
+      Key_tbl.set t.tails s id
     end;
     id
   end
@@ -284,7 +290,7 @@ let last_matching t ~cat ~name =
   in
   go (t.n_nodes - 1)
 
-let digest t = t.digest
+let digest t = Fnv.Acc.get t.digest
 
 let capture t b =
   let w_i v = Buffer.add_int64_le b (Int64.of_int v) in
@@ -295,11 +301,11 @@ let capture t b =
   w_i t.n_edges;
   w_i t.minted;
   w_i t.dropped;
-  Buffer.add_int64_le b t.digest;
+  Buffer.add_int64_le b (digest t);
   (* nodes and edges are already folded into the digest; only the
      per-scope chaining tails add restart-relevant state beyond it *)
   let tails =
-    Scope_tbl.fold (fun ~rank ~core id acc -> ((rank, core), id) :: acc) t.tails []
+    Key_tbl.fold (fun rank core _ id acc -> ((rank, core), id) :: acc) t.tails []
     |> List.sort compare
   in
   w_i (List.length tails);

@@ -39,13 +39,20 @@ type handle = int
 
 let null_handle = -1
 
-type open_span = {
-  o_cat : string;
-  o_name : string;
-  o_rank : int;
-  o_core : int;
-  o_start : Cycles.t;
-  o_depth : int;
+(* Open spans live in parallel columns indexed by slot; a slot freed by
+   an ended span is reused by the next begun one, so beginning and
+   ending a span allocates nothing once the columns have grown. *)
+type opens = {
+  handles : int Key_tbl.t;  (* handle -> slot *)
+  mutable o_cats : string array;
+  mutable o_names : string array;
+  mutable o_ranks : int array;
+  mutable o_cores : int array;
+  mutable o_starts : int array;
+  mutable o_depths : int array;
+  mutable free : int array;  (* stack of free slots below [used] *)
+  mutable n_free : int;
+  mutable used : int;
 }
 
 (* CNK-style fixed-memory record store: one record per (rank, core)
@@ -64,7 +71,7 @@ type scope = {
   seqs : int array;  (* global completion sequence number per slot *)
   mutable written : int;  (* total spans ever pushed through this ring *)
   mutable depth : int;  (* spans currently open in this scope *)
-  mutable dropped : int ref option;  (* this scope's dropped_spans cell *)
+  mutable dropped : int;  (* this scope's dropped_spans counter entry, or -1 *)
 }
 
 type timer = { online : Stats.Online.t; hist : Stats.Histogram.t }
@@ -72,34 +79,47 @@ type timer = { online : Stats.Online.t; hist : Stats.Histogram.t }
 type t = {
   mutable enabled : bool;
   ring_capacity : int;
-  scopes : scope Scope_tbl.t;
-  opens : (handle, open_span) Hashtbl.t;
+  scopes : scope Key_tbl.t;  (* (rank, core, 0) *)
+  opens : opens;
   mutable next_handle : int;
-  mutable digest : Fnv.t;
+  digest : Fnv.Acc.t;
   mutable completed : int;
-  counters : (key, int ref) Hashtbl.t;
-  gauges : (key, int ref) Hashtbl.t;
-  timers : (key, timer) Hashtbl.t;
+  counters : int Metric_tbl.t;
+  gauges : int Metric_tbl.t;
+  timers : timer Metric_tbl.t;
 }
+
+let create_opens () =
+  {
+    handles = Key_tbl.create ();
+    o_cats = [||];
+    o_names = [||];
+    o_ranks = [||];
+    o_cores = [||];
+    o_starts = [||];
+    o_depths = [||];
+    free = [||];
+    n_free = 0;
+    used = 0;
+  }
 
 let create ?(ring_capacity = 1024) ?(enabled = false) () =
   if ring_capacity <= 0 then invalid_arg "Obs.create: ring_capacity";
   {
     enabled;
     ring_capacity;
-    scopes = Scope_tbl.create ();
-    opens = Hashtbl.create 32;
+    scopes = Key_tbl.create ();
+    opens = create_opens ();
     next_handle = 0;
-    digest = Fnv.empty;
+    digest = Fnv.Acc.create ();
     completed = 0;
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
-    timers = Hashtbl.create 32;
+    counters = Metric_tbl.create ();
+    gauges = Metric_tbl.create ();
+    timers = Metric_tbl.create ();
   }
 
 let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
-let ring_capacity t = t.ring_capacity
 
 let new_scope cap =
   {
@@ -112,37 +132,37 @@ let new_scope cap =
     seqs = Array.make cap 0;
     written = 0;
     depth = 0;
-    dropped = None;
+    dropped = -1;
   }
 
 let scope_for t ~rank ~core =
-  let i = Scope_tbl.find t.scopes ~rank ~core in
-  if i >= 0 then Scope_tbl.get t.scopes i
+  let i = Key_tbl.find t.scopes rank core 0 in
+  if i >= 0 then Key_tbl.get t.scopes i
   else begin
     let sc = new_scope t.ring_capacity in
-    Scope_tbl.add t.scopes ~rank ~core sc;
+    ignore (Key_tbl.add t.scopes rank core 0 sc);
     sc
   end
 
+(* [by] more on the counter at entry [e] of [t.counters], or on a new
+   entry for the key when [e] is -1; returns the entry. *)
+let bump_counter t e ~subsystem ~name ~rank ~core by =
+  if e >= 0 then begin
+    Metric_tbl.set t.counters e (Metric_tbl.get t.counters e + by);
+    e
+  end
+  else Metric_tbl.add t.counters ~subsystem ~name ~rank ~core by
+
 (* Ring wraparound overwrites the oldest span; count each loss as a
    first-class per-scope metric so exports and tools can warn. The
-   counter cell is looked up once per scope, on its first drop. *)
+   counter entry is looked up once per scope, on its first drop. *)
 let count_drop t sc ~rank ~core =
-  match sc.dropped with
-  | Some r -> Stdlib.incr r
-  | None ->
-    let key = { subsystem = "obs"; name = "dropped_spans"; rank; core } in
-    let r =
-      match Hashtbl.find_opt t.counters key with
-      | Some r ->
-        Stdlib.incr r;
-        r
-      | None ->
-        let r = ref 1 in
-        Hashtbl.add t.counters key r;
-        r
-    in
-    sc.dropped <- Some r
+  let subsystem = "obs" and name = "dropped_spans" in
+  let e =
+    if sc.dropped >= 0 then sc.dropped
+    else Metric_tbl.find t.counters ~subsystem ~name ~rank ~core
+  in
+  sc.dropped <- bump_counter t e ~subsystem ~name ~rank ~core 1
 
 let push_span t sc ~cat ~name ~rank ~core ~start ~finish ~depth =
   let i = sc.written mod sc.cap in
@@ -155,12 +175,36 @@ let push_span t sc ~cat ~name ~rank ~core ~start ~finish ~depth =
   sc.seqs.(i) <- t.completed;
   sc.written <- sc.written + 1;
   t.completed <- t.completed + 1;
-  let d = Fnv.add_string t.digest cat in
-  let d = Fnv.add_string d name in
-  let d = Fnv.add_int d rank in
-  let d = Fnv.add_int d core in
-  let d = Fnv.add_int d start in
-  t.digest <- Fnv.add_int d finish
+  let d = t.digest in
+  Fnv.Acc.add_string d cat;
+  Fnv.Acc.add_string d name;
+  Fnv.Acc.add_int d rank;
+  Fnv.Acc.add_int d core;
+  Fnv.Acc.add_int d start;
+  Fnv.Acc.add_int d finish
+
+(* A free open-span slot, growing the columns when none is left. *)
+let take_slot o =
+  if o.n_free > 0 then begin
+    o.n_free <- o.n_free - 1;
+    o.free.(o.n_free)
+  end
+  else begin
+    let i = o.used in
+    if i = Array.length o.o_starts then begin
+      let cap = max 16 (2 * i) in
+      let extend a pad = Array.init cap (fun j -> if j < i then a.(j) else pad) in
+      o.o_cats <- extend o.o_cats "";
+      o.o_names <- extend o.o_names "";
+      o.o_ranks <- extend o.o_ranks 0;
+      o.o_cores <- extend o.o_cores 0;
+      o.o_starts <- extend o.o_starts 0;
+      o.o_depths <- extend o.o_depths 0;
+      o.free <- extend o.free 0
+    end;
+    o.used <- i + 1;
+    i
+  end
 
 let span_begin t ~cat ~name ~rank ~core ~now =
   if not t.enabled then null_handle
@@ -168,27 +212,43 @@ let span_begin t ~cat ~name ~rank ~core ~now =
     let sc = scope_for t ~rank ~core in
     let h = t.next_handle in
     t.next_handle <- h + 1;
-    Hashtbl.add t.opens h
-      { o_cat = cat; o_name = name; o_rank = rank; o_core = core; o_start = now; o_depth = sc.depth };
+    let o = t.opens in
+    let i = take_slot o in
+    o.o_cats.(i) <- cat;
+    o.o_names.(i) <- name;
+    o.o_ranks.(i) <- rank;
+    o.o_cores.(i) <- core;
+    o.o_starts.(i) <- now;
+    o.o_depths.(i) <- sc.depth;
+    ignore (Key_tbl.add o.handles h 0 0 i);
     sc.depth <- sc.depth + 1;
     h
   end
 
-(* Forget open span [h], found as [o], and pop its scope's depth. *)
-let close_open t h o =
-  Hashtbl.remove t.opens h;
-  let sc = scope_for t ~rank:o.o_rank ~core:o.o_core in
+(* Forget open span [h], in slot [i], and pop its scope's depth. *)
+let close_open t h i =
+  let o = t.opens in
+  Key_tbl.remove o.handles h 0 0;
+  o.free.(o.n_free) <- i;
+  o.n_free <- o.n_free + 1;
+  let sc = scope_for t ~rank:o.o_ranks.(i) ~core:o.o_cores.(i) in
   if sc.depth > 0 then sc.depth <- sc.depth - 1;
   sc
 
+let open_slot t h =
+  let e = Key_tbl.find t.opens.handles h 0 0 in
+  if e < 0 then -1 else Key_tbl.get t.opens.handles e
+
 let span_end t h ~now =
-  if t.enabled && h <> null_handle then
-    match Hashtbl.find_opt t.opens h with
-    | None -> ()
-    | Some o ->
-      let sc = close_open t h o in
-      push_span t sc ~cat:o.o_cat ~name:o.o_name ~rank:o.o_rank ~core:o.o_core
-        ~start:o.o_start ~finish:now ~depth:o.o_depth
+  if t.enabled && h <> null_handle then begin
+    let i = open_slot t h in
+    if i >= 0 then begin
+      let sc = close_open t h i in
+      let o = t.opens in
+      push_span t sc ~cat:o.o_cats.(i) ~name:o.o_names.(i) ~rank:o.o_ranks.(i)
+        ~core:o.o_cores.(i) ~start:o.o_starts.(i) ~finish:now ~depth:o.o_depths.(i)
+    end
+  end
 
 let span_record t ~cat ~name ~rank ~core ~start ~finish =
   if t.enabled then begin
@@ -196,18 +256,18 @@ let span_record t ~cat ~name ~rank ~core ~start ~finish =
     push_span t sc ~cat ~name ~rank ~core ~start ~finish ~depth:sc.depth
   end
 
-let open_count t = Hashtbl.length t.opens
+let open_count t = Key_tbl.length t.opens.handles
 
 let abandon_open t h =
-  if h <> null_handle then
-    match Hashtbl.find_opt t.opens h with
-    | None -> ()
-    | Some o -> ignore (close_open t h o)
+  if h <> null_handle then begin
+    let i = open_slot t h in
+    if i >= 0 then ignore (close_open t h i)
+  end
 
 let span_count t = t.completed
 
 let dropped_spans t =
-  Scope_tbl.fold (fun ~rank:_ ~core:_ r acc -> acc + max 0 (r.written - r.cap)) t.scopes 0
+  Key_tbl.fold (fun _ _ _ r acc -> acc + max 0 (r.written - r.cap)) t.scopes 0
 
 let iter_scope_spans ~rank ~core r f =
   let retained = min r.written r.cap in
@@ -229,7 +289,7 @@ let iter_scope_spans ~rank ~core r f =
 
 let spans t =
   let scopes =
-    Scope_tbl.fold (fun ~rank ~core r acc -> ((rank, core), r) :: acc) t.scopes []
+    Key_tbl.fold (fun rank core _ r acc -> ((rank, core), r) :: acc) t.scopes []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let out = ref [] in
@@ -249,24 +309,21 @@ let spans t =
         if c <> 0 then c else compare a.seq b.seq)
     (List.rev !out)
 
-let digest t = t.digest
+let digest t = Fnv.Acc.get t.digest
 
 (* --- metrics ----------------------------------------------------------- *)
 
 let incr t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name ?(by = 1) () =
-  if t.enabled then begin
-    let key = { subsystem; name; rank; core } in
-    match Hashtbl.find_opt t.counters key with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t.counters key (ref by)
-  end
+  if t.enabled then
+    ignore
+      (bump_counter t (Metric_tbl.find t.counters ~subsystem ~name ~rank ~core) ~subsystem ~name
+         ~rank ~core by)
 
 let set_gauge t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name v =
   if t.enabled then begin
-    let key = { subsystem; name; rank; core } in
-    match Hashtbl.find_opt t.gauges key with
-    | Some r -> r := v
-    | None -> Hashtbl.add t.gauges key (ref v)
+    let e = Metric_tbl.find t.gauges ~subsystem ~name ~rank ~core in
+    if e >= 0 then Metric_tbl.set t.gauges e v
+    else ignore (Metric_tbl.add t.gauges ~subsystem ~name ~rank ~core v)
   end
 
 let default_hist_hi = 1_048_576.0
@@ -275,42 +332,43 @@ let default_hist_bins = 64
 let observe_cycles t ?(rank = node_scope) ?(core = node_scope) ?(hi = default_hist_hi)
     ?(bins = default_hist_bins) ~subsystem ~name cycles =
   if t.enabled then begin
-    let key = { subsystem; name; rank; core } in
+    let e = Metric_tbl.find t.timers ~subsystem ~name ~rank ~core in
     let timer =
-      match Hashtbl.find_opt t.timers key with
-      | Some tm -> tm
-      | None ->
+      if e >= 0 then Metric_tbl.get t.timers e
+      else begin
         let tm =
           { online = Stats.Online.create (); hist = Stats.Histogram.create ~lo:0.0 ~hi ~bins }
         in
-        Hashtbl.add t.timers key tm;
+        ignore (Metric_tbl.add t.timers ~subsystem ~name ~rank ~core tm);
         tm
+      end
     in
     let x = float_of_int cycles in
     Stats.Online.add timer.online x;
     Stats.Histogram.add timer.hist x
   end
 
+let lookup tbl ~subsystem ~name ~rank ~core =
+  let e = Metric_tbl.find tbl ~subsystem ~name ~rank ~core in
+  if e < 0 then None else Some (Metric_tbl.get tbl e)
+
 let counter_value t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  match Hashtbl.find_opt t.counters { subsystem; name; rank; core } with
-  | Some r -> !r
-  | None -> 0
+  Option.value (lookup t.counters ~subsystem ~name ~rank ~core) ~default:0
 
 let counter_total t ~subsystem ~name =
-  Hashtbl.fold
-    (fun k r acc -> if k.subsystem = subsystem && k.name = name then acc + !r else acc)
+  Metric_tbl.fold
+    (fun ~subsystem:s ~name:n ~rank:_ ~core:_ v acc ->
+      if s = subsystem && n = name then acc + v else acc)
     t.counters 0
 
 let gauge_value t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  match Hashtbl.find_opt t.gauges { subsystem; name; rank; core } with
-  | Some r -> Some !r
-  | None -> None
+  lookup t.gauges ~subsystem ~name ~rank ~core
 
 let timer_stats t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  Option.map (fun tm -> tm.online) (Hashtbl.find_opt t.timers { subsystem; name; rank; core })
+  Option.map (fun tm -> tm.online) (lookup t.timers ~subsystem ~name ~rank ~core)
 
 let timer_histogram t ?(rank = node_scope) ?(core = node_scope) ~subsystem ~name () =
-  Option.map (fun tm -> tm.hist) (Hashtbl.find_opt t.timers { subsystem; name; rank; core })
+  Option.map (fun tm -> tm.hist) (lookup t.timers ~subsystem ~name ~rank ~core)
 
 (* --- snapshot ----------------------------------------------------------- *)
 
@@ -333,10 +391,15 @@ type metric = { key : key; value : value }
 
 let snapshot t =
   let out = ref [] in
-  Hashtbl.iter (fun key r -> out := { key; value = Counter !r } :: !out) t.counters;
-  Hashtbl.iter (fun key r -> out := { key; value = Gauge !r } :: !out) t.gauges;
-  Hashtbl.iter
-    (fun key tm ->
+  let each tbl f =
+    Metric_tbl.fold
+      (fun ~subsystem ~name ~rank ~core v () ->
+        out := { key = { subsystem; name; rank; core }; value = f v } :: !out)
+      tbl ()
+  in
+  each t.counters (fun v -> Counter v);
+  each t.gauges (fun v -> Gauge v);
+  each t.timers (fun tm ->
       let o = tm.online in
       let h = tm.hist in
       (* bin interpolation can land outside the observed extremes when a
@@ -346,25 +409,18 @@ let snapshot t =
         Float.max (Stats.Online.min o)
           (Float.min (Stats.Online.max o) (Stats.Histogram.percentile h p))
       in
-      out :=
+      Timer
         {
-          key;
-          value =
-            Timer
-              {
-                n = Stats.Online.n o;
-                mean = Stats.Online.mean o;
-                min = Stats.Online.min o;
-                max = Stats.Online.max o;
-                sum = Stats.Histogram.sum h;
-                p50 = pct 0.50;
-                p90 = pct 0.90;
-                p99 = pct 0.99;
-                p999 = pct 0.999;
-              };
-        }
-        :: !out)
-    t.timers;
+          n = Stats.Online.n o;
+          mean = Stats.Online.mean o;
+          min = Stats.Online.min o;
+          max = Stats.Online.max o;
+          sum = Stats.Histogram.sum h;
+          p50 = pct 0.50;
+          p90 = pct 0.90;
+          p99 = pct 0.99;
+          p999 = pct 0.999;
+        });
   List.sort (fun a b -> compare_key a.key b.key) !out
 
 let capture t b =
@@ -379,7 +435,7 @@ let capture t b =
   w_i t.ring_capacity;
   w_i t.next_handle;
   w_i t.completed;
-  w_i64 t.digest;
+  w_i64 (digest t);
   let sp = spans t in
   w_i (List.length sp);
   List.iter
@@ -393,22 +449,21 @@ let capture t b =
       w_i s.depth;
       w_i s.seq)
     sp;
-  let opens =
-    Hashtbl.fold (fun h o acc -> (h, o) :: acc) t.opens [] |> List.sort compare
-  in
+  let o = t.opens in
+  let opens = Key_tbl.fold (fun h _ _ i acc -> (h, i) :: acc) o.handles [] |> List.sort compare in
   w_i (List.length opens);
   List.iter
-    (fun (h, o) ->
+    (fun (h, i) ->
       w_i h;
-      w_s o.o_cat;
-      w_s o.o_name;
-      w_i o.o_rank;
-      w_i o.o_core;
-      w_i o.o_start;
-      w_i o.o_depth)
+      w_s o.o_cats.(i);
+      w_s o.o_names.(i);
+      w_i o.o_ranks.(i);
+      w_i o.o_cores.(i);
+      w_i o.o_starts.(i);
+      w_i o.o_depths.(i))
     opens;
   let depths =
-    Scope_tbl.fold (fun ~rank ~core sc acc -> ((rank, core), sc.depth) :: acc) t.scopes []
+    Key_tbl.fold (fun rank core _ sc acc -> ((rank, core), sc.depth) :: acc) t.scopes []
     |> List.sort compare
   in
   w_i (List.length depths);
@@ -447,13 +502,15 @@ let capture t b =
     ms
 
 let reset t =
-  Scope_tbl.reset t.scopes;
-  Hashtbl.reset t.opens;
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.timers;
+  Key_tbl.reset t.scopes;
+  Key_tbl.reset t.opens.handles;
+  t.opens.n_free <- 0;
+  t.opens.used <- 0;
+  Metric_tbl.reset t.counters;
+  Metric_tbl.reset t.gauges;
+  Metric_tbl.reset t.timers;
   t.next_handle <- 0;
-  t.digest <- Fnv.empty;
+  Fnv.Acc.set t.digest Fnv.empty;
   t.completed <- 0
 
 let pp_metric ppf m =

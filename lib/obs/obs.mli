@@ -30,7 +30,6 @@ val create : ?ring_capacity:int -> ?enabled:bool -> unit -> t
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
-val ring_capacity : t -> int
 
 val reset : t -> unit
 (** Drop all spans and metrics; keep enablement and capacity. *)

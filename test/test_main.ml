@@ -5,6 +5,7 @@ let () =
       ("hw", Test_hw.suite);
       ("cio", Test_cio.suite);
       ("cio-reliable", Test_cio_reliable.suite);
+      ("codec", Test_codec.suite);
       ("cnk", Test_cnk.suite);
       ("fwk", Test_fwk.suite);
       ("msg", Test_msg.suite);

@@ -164,18 +164,25 @@ let test_ioproxy_snapshot_restore () =
 
 let test_manifest_ack_keeps_watermark () =
   let m = Manifest.create () in
+  let classify seq = Manifest.classify m ~rank:0 ~pid:1 ~tid:2 ~seq in
+  (match classify 5 with
+  | Manifest.Fresh -> ()
+  | _ -> Alcotest.fail "nothing cached: every seq is fresh");
   Manifest.record_reply m ~rank:0 ~pid:1 ~tid:2 ~seq:5 ~frame:(Bytes.of_string "r5");
-  (match Manifest.last_reply m ~rank:0 ~pid:1 ~tid:2 with
-  | Some (5, Some f) -> Alcotest.(check string) "frame cached" "r5" (Bytes.to_string f)
+  (match classify 5 with
+  | Manifest.Replay f -> Alcotest.(check string) "frame cached" "r5" (Bytes.to_string f)
   | _ -> Alcotest.fail "expected cached frame at seq 5");
+  (match (classify 4, classify 6) with
+  | Manifest.Stale, Manifest.Fresh -> ()
+  | _ -> Alcotest.fail "seq 4 is stale and seq 6 fresh against cached seq 5");
   (* a stale ack is a no-op *)
   Manifest.retire_reply m ~rank:0 ~pid:1 ~tid:2 ~seq:4;
-  (match Manifest.last_reply m ~rank:0 ~pid:1 ~tid:2 with
-  | Some (5, Some _) -> ()
+  (match classify 5 with
+  | Manifest.Replay _ -> ()
   | _ -> Alcotest.fail "stale ack must not retire");
   Manifest.retire_reply m ~rank:0 ~pid:1 ~tid:2 ~seq:5;
-  match Manifest.last_reply m ~rank:0 ~pid:1 ~tid:2 with
-  | Some (5, None) -> ()
+  match (classify 5, classify 4) with
+  | Manifest.Acked, Manifest.Stale -> ()
   | _ -> Alcotest.fail "ack must keep the seq watermark and drop only the bytes"
 
 (* ------------------------------------------------------------------ *)
